@@ -94,7 +94,19 @@ let find_workload name =
       Printf.eprintf "unknown workload %s; try `clear_sim list`\n" name;
       exit 2
 
+(* Reject a bad argument value here, with one line on stderr and exit
+   status 2, before it can reach a library precondition and surface as an
+   uncaught Invalid_argument. *)
+let usage_error fmt =
+  Printf.ksprintf
+    (fun msg ->
+      Printf.eprintf "clear_sim: %s\n%!" msg;
+      exit 2)
+    fmt
+
 let config_of ?(frontend = Machine.Config.Htm) letter ~cores ~ops ~seed ~retries =
+  if cores < 1 || cores > Mem.Directory.max_cores then
+    usage_error "--cores must be in [1, %d] (got %d)" Mem.Directory.max_cores cores;
   let base =
     match letter with
     | "B" -> Machine.Config.baseline
@@ -851,11 +863,18 @@ let openloop_cmd =
     let process =
       match String.lowercase_ascii process_name with
       | "poisson" -> Machine.Config.Open_poisson
-      | "burst" -> Machine.Config.Open_burst { heat }
+      | "burst" ->
+          if not (heat >= 0.0) then usage_error "--heat must be non-negative (got %g)" heat;
+          Machine.Config.Open_burst { heat }
       | other ->
           Printf.eprintf "unknown arrival process %s (expected poisson or burst)\n" other;
           exit 2
     in
+    List.iter
+      (fun rate -> if not (rate > 0.0) then usage_error "--loads must all be positive (got %g)" rate)
+      loads;
+    if requests <= 0 then usage_error "--requests must be positive (got %d)" requests;
+    if cap < 0 then usage_error "--cap must be non-negative (got %d)" cap;
     let configs =
       (* ops_per_thread is dead in open mode (the queue, not an op count,
          decides when cores stop); keep the preset default. *)

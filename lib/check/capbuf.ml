@@ -29,9 +29,9 @@ let grow a n = if n = Array.length a then Array.append a (Array.make n 0) else a
 
 (* Linear-scan dedup: attempt footprints are bounded by the CLEAR table
    sizes (tens of lines), where a scan beats hashing and allocates nothing. *)
-let mem a n x =
-  let rec go i = i < n && (a.(i) = x || go (i + 1)) in
-  go 0
+let rec mem_from a n x i = i < n && (a.(i) = x || mem_from a n x (i + 1))
+
+let mem a n x = mem_from a n x 0
 
 let note_read t ~line ~time =
   if not (mem t.rl t.rn line) then begin

@@ -27,14 +27,19 @@ let reset t =
   t.rows <- [];
   t.count <- 0
 
-let key e = (e.dir_set, e.line)
+(* Lock order: (dir_set, line), compared on ints. *)
+let before a b = a.dir_set < b.dir_set || (a.dir_set = b.dir_set && a.line < b.line)
+
+let rec find line = function
+  | [] -> None
+  | e :: rest -> if e.line = line then Some e else find line rest
+
+let rec insert e = function
+  | [] -> [ e ]
+  | x :: rest as l -> if before e x then e :: l else x :: insert e rest
 
 let record t line ~written =
-  let rec find = function
-    | [] -> None
-    | e :: rest -> if e.line = line then Some e else find rest
-  in
-  match find t.rows with
+  match find line t.rows with
   | Some e ->
       e.written <- e.written || written;
       `Ok
@@ -52,11 +57,7 @@ let record t line ~written =
             conflict = false;
           }
         in
-        let rec insert = function
-          | [] -> [ e ]
-          | x :: rest -> if key e < key x then e :: x :: rest else x :: insert rest
-        in
-        t.rows <- insert t.rows;
+        t.rows <- insert e t.rows;
         t.count <- t.count + 1;
         `Ok
       end

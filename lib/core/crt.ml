@@ -14,16 +14,19 @@ let create ?(entries = 64) ?(ways = 8) () =
 
 let set_of t line = line mod t.sets
 
+let rec scan tags line i last =
+  if i = last then -1 else if tags.(i) = line then i else scan tags line (i + 1) last
+
+(* Index of [line]'s entry, or -1. *)
 let find t line =
   let base = set_of t line * t.ways in
-  let rec loop w = if w = t.ways then None else if t.tags.(base + w) = line then Some (base + w) else loop (w + 1) in
-  loop 0
+  scan t.tags line base (base + t.ways)
 
 let insert t line =
   t.tick <- t.tick + 1;
-  match find t line with
-  | Some i -> t.age.(i) <- t.tick
-  | None ->
+  let i = find t line in
+  if i >= 0 then t.age.(i) <- t.tick
+  else begin
       let base = set_of t line * t.ways in
       let victim = ref base in
       let found_empty = ref false in
@@ -37,15 +40,16 @@ let insert t line =
       done;
       t.tags.(!victim) <- line;
       t.age.(!victim) <- t.tick
+  end
 
-let mem t line = find t line <> None
+let mem t line = find t line >= 0
 
 let remove t line =
-  match find t line with
-  | Some i ->
-      t.tags.(i) <- -1;
-      t.age.(i) <- 0
-  | None -> ()
+  let i = find t line in
+  if i >= 0 then begin
+    t.tags.(i) <- -1;
+    t.age.(i) <- 0
+  end
 
 let size t = Array.fold_left (fun n tag -> if tag <> -1 then n + 1 else n) 0 t.tags
 

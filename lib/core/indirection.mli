@@ -24,6 +24,10 @@ val define : t -> dst:int -> srcs:int list -> unit
 (** Destination written from the given source registers: the bit becomes the
     OR of the sources' bits (immediates contribute nothing — omit them). *)
 
+val assign : t -> dst:int -> bool -> unit
+(** [assign t ~dst tainted]: {!define} with the sources' OR already
+    computed, for callers that avoid building a source list. *)
+
 val define_load : t -> dst:int -> unit
 (** Destination of a load: bit set unconditionally. *)
 

@@ -69,7 +69,7 @@ type t = {
   perf : Simrt.Perfctr.t;
   openq : Openq.t option;
   cores : core array;
-  queue : int Event_queue.t; (* payload: core id *)
+  queue : Event_queue.t; (* payload: core id *)
   conflict_seen : (int * int * int, unit) Hashtbl.t;
       (* (aggressor AR id, victim AR id, line) triples already reported to
          the checker; bounds conflict-event volume by the static matrix
@@ -182,9 +182,9 @@ let openq t = t.openq
 let current_op c = match c.op with Some op -> op | None -> invalid_arg "no current op"
 
 let lock_table t id =
-  match Hashtbl.find_opt t.locks id with
-  | Some l -> l
-  | None ->
+  match Hashtbl.find t.locks id with
+  | l -> l
+  | exception Not_found ->
       let l = Fallback_lock.create () in
       Hashtbl.add t.locks id l;
       l
@@ -250,6 +250,10 @@ let touch_line t c line =
    across later attempts (Lineset rebuilds into fresh arrays). *)
 let attempt_footprint c = Simrt.Lineset.sorted_view c.attempt_lines
 
+(* Callers test [tracing] / [capturing] before building an event, so an
+   unobserved run allocates no event payloads. *)
+let tracing t = t.trace <> None
+
 let trace_ev t c kind =
   match t.trace with
   | None -> ()
@@ -311,11 +315,12 @@ let fig1_close t c =
 
 let cleanup_cl_locks t c =
   if c.mode = M_scl || c.mode = M_nscl || c.lock_queue <> [] then begin
-    List.iter
-      (fun line ->
-        trace_ev t c (Trace.Unlocked line);
-        lock_ev t (Check.Lock_safety.Unlock { time = t.now; core = c.id; line }))
-      (Mem.Hierarchy.locked_lines t.hierarchy ~core:c.id);
+    if tracing t || capturing t then
+      List.iter
+        (fun line ->
+          if tracing t then trace_ev t c (Trace.Unlocked line);
+          if capturing t then lock_ev t (Check.Lock_safety.Unlock { time = t.now; core = c.id; line }))
+        (Mem.Hierarchy.locked_lines t.hierarchy ~core:c.id);
     ignore (Mem.Hierarchy.unlock_all t.hierarchy ~core:c.id : int)
   end;
   c.lock_queue <- [];
@@ -360,12 +365,13 @@ let do_commit t c =
         ~writes:(Check.Capbuf.writes c.cap) ~stores:(Check.Capbuf.stores c.cap));
   Txn.iter_lines c.txn (fun line -> Conflict_map.remove_line t.conflicts ~core:c.id line);
   cleanup_cl_locks t c;
-  lock_ev t (Check.Lock_safety.Attempt_end { time = t.now; core = c.id });
+  if capturing t then lock_ev t (Check.Lock_safety.Attempt_end { time = t.now; core = c.id });
   release_power t c;
   Txn.reset c.txn;
   fig1_close t c;
   Clear.Ert.note_commit c.ert ~pc:op.Workload.ar.Isa.Program.id;
-  trace_ev t c (Trace.Commit { mode = mode_string c.mode; retries = c.retries_counted });
+  if tracing t then
+    trace_ev t c (Trace.Commit { mode = mode_string c.mode; retries = c.retries_counted });
   Stats.note_commit ~ar:op.Workload.ar.Isa.Program.name t.stats ~mode:(stats_mode_of c)
     ~retries:c.retries_counted;
   t.perf.commits <- t.perf.commits + 1;
@@ -378,15 +384,13 @@ let do_commit t c =
   t.cfg.xend_cost + (drained / 4)
 
 let do_abort t c cause =
-  trace_ev t c (Trace.Aborted cause);
+  if tracing t then trace_ev t c (Trace.Aborted cause);
   Stats.note_abort t.stats cause;
   t.perf.aborts <- t.perf.aborts + 1;
-  for _ = 1 to c.attempt_instrs do
-    Stats.note_wasted_instr t.stats
-  done;
+  Stats.note_wasted_instrs t.stats c.attempt_instrs;
   Txn.iter_lines c.txn (fun line -> Conflict_map.remove_line t.conflicts ~core:c.id line);
   cleanup_cl_locks t c;
-  lock_ev t (Check.Lock_safety.Attempt_end { time = t.now; core = c.id });
+  if capturing t then lock_ev t (Check.Lock_safety.Attempt_end { time = t.now; core = c.id });
   release_power t c;
   (* A conflicting read feeds the CRT so the next S-CL locks it too. *)
   (match c.pending_abort with
@@ -476,7 +480,7 @@ let end_of_discovery_decision t c =
     | Clear.Decision.Speculative_retry -> None
     | (Clear.Decision.Ns_cl | Clear.Decision.S_cl) as m -> Some m);
   match c.planned with
-  | Some m -> trace_ev t c (Trace.Converted (Clear.Decision.mode_name m))
+  | Some m -> if tracing t then trace_ev t c (Trace.Converted (Clear.Decision.mode_name m))
   | None -> ()
 
 (* ------------------------------------------------------------------ *)
@@ -491,26 +495,31 @@ exception Stall_now
 
 (* Charge latency and check capacity: evicting a line of our own speculative
    set aborts the transaction. *)
-let check_evictions c outcome =
-  List.iter
-    (fun line -> if Txn.in_either_set c.txn line then raise (Abort_now Abort.Capacity))
-    outcome.Mem.Hierarchy.l1_evicted
+let rec check_evicted c = function
+  | [] -> ()
+  | line :: rest ->
+      if Txn.in_either_set c.txn line then raise (Abort_now Abort.Capacity);
+      check_evicted c rest
+
+let check_evictions c outcome = check_evicted c outcome.Mem.Hierarchy.l1_evicted
 
 (* In S-CL mode the core holds cacheline locks, so a request that reaches a
    remotely locked line must be nacked (abort) to break lock cycles (paper
    Figure 5). A plain speculative core holds no locks and simply retries the
    request until the holder's AR completes. *)
 let blocked_by_remote_lock t c line =
-  match Mem.Hierarchy.locked_by t.hierarchy line with
-  | Some holder when holder <> c.id ->
-      if c.mode = M_scl then begin
-        note_conflict t c t.cores.(holder) line;
-        raise (Abort_now Abort.Nacked)
-      end
-      else raise Stall_now
-  | Some _ | None -> ()
+  let holder = Mem.Hierarchy.lock_holder t.hierarchy line in
+  if holder >= 0 && holder <> c.id then
+    if c.mode = M_scl then begin
+      note_conflict t c t.cores.(holder) line;
+      raise (Abort_now Abort.Nacked)
+    end
+    else raise Stall_now
 
-let spec_load t c addr =
+let locked_by_self t c line = Mem.Hierarchy.lock_holder t.hierarchy line = c.id
+
+(* Loads write their value to [dst] and return the access latency. *)
+let spec_load t c ~dst addr =
   let line = Mem.Addr.line_of addr in
   touch_line t c line;
   blocked_by_remote_lock t c line;
@@ -533,8 +542,8 @@ let spec_load t c addr =
   record_in_alt t c line ~written:false;
   cap_read t c line;
   t.perf.store_forward_scans <- t.perf.store_forward_scans + 1;
-  let value = match Txn.forwarded c.txn addr with Some v -> v | None -> Mem.Store.read t.store addr in
-  (value, outcome.Mem.Hierarchy.latency)
+  Regfile.define_load c.regs ~dst (Txn.load c.txn t.store addr);
+  outcome.Mem.Hierarchy.latency
 
 let spec_store t c addr value =
   let line = Mem.Addr.line_of addr in
@@ -585,18 +594,19 @@ let spec_store t c addr value =
 (* NS-CL: all accesses hit lines we hold locked; reads/writes go straight to
    memory. Deviation from the learned footprint means the immutability
    assessment was wrong — defensively fall back to a speculative retry. *)
-let nscl_load t c addr =
+let nscl_load t c ~dst addr =
   let line = Mem.Addr.line_of addr in
   touch_line t c line;
-  if Mem.Hierarchy.locked_by t.hierarchy line <> Some c.id then raise (Abort_now Abort.Scl_deviation);
+  if not (locked_by_self t c line) then raise (Abort_now Abort.Scl_deviation);
   let outcome = Mem.Hierarchy.read_line t.hierarchy ~core:c.id line in
   cap_read t c line;
-  (Mem.Store.read t.store addr, outcome.Mem.Hierarchy.latency)
+  Regfile.define_load c.regs ~dst (Mem.Store.read t.store addr);
+  outcome.Mem.Hierarchy.latency
 
 let nscl_store t c addr value =
   let line = Mem.Addr.line_of addr in
   touch_line t c line;
-  if Mem.Hierarchy.locked_by t.hierarchy line <> Some c.id then raise (Abort_now Abort.Scl_deviation);
+  if not (locked_by_self t c line) then raise (Abort_now Abort.Scl_deviation);
   let outcome = Mem.Hierarchy.write_line t.hierarchy ~core:c.id line in
   Mem.Store.write t.store addr value;
   cap_write t c line;
@@ -605,21 +615,21 @@ let nscl_store t c addr value =
 
 (* S-CL: locked lines are safe; other accesses stay speculative with conflict
    detection armed. *)
-let scl_load t c addr =
+let scl_load t c ~dst addr =
   let line = Mem.Addr.line_of addr in
-  if Mem.Hierarchy.locked_by t.hierarchy line = Some c.id then begin
+  if locked_by_self t c line then begin
     touch_line t c line;
     let outcome = Mem.Hierarchy.read_line t.hierarchy ~core:c.id line in
     cap_read t c line;
     t.perf.store_forward_scans <- t.perf.store_forward_scans + 1;
-    let value = match Txn.forwarded c.txn addr with Some v -> v | None -> Mem.Store.read t.store addr in
-    (value, outcome.Mem.Hierarchy.latency)
+    Regfile.define_load c.regs ~dst (Txn.load c.txn t.store addr);
+    outcome.Mem.Hierarchy.latency
   end
-  else spec_load t c addr
+  else spec_load t c ~dst addr
 
 let scl_store t c addr value =
   let line = Mem.Addr.line_of addr in
-  if Mem.Hierarchy.locked_by t.hierarchy line = Some c.id then begin
+  if locked_by_self t c line then begin
     touch_line t c line;
     let outcome = Mem.Hierarchy.write_line t.hierarchy ~core:c.id line in
     Txn.buffer_store c.txn addr value;
@@ -630,12 +640,13 @@ let scl_store t c addr value =
   end
   else spec_store t c addr value
 
-let fallback_load t c addr =
+let fallback_load t c ~dst addr =
   let line = Mem.Addr.line_of addr in
   touch_line t c line;
   let outcome = Mem.Hierarchy.read_line t.hierarchy ~core:c.id line in
   cap_read t c line;
-  (Mem.Store.read t.store addr, outcome.Mem.Hierarchy.latency)
+  Regfile.define_load c.regs ~dst (Mem.Store.read t.store addr);
+  outcome.Mem.Hierarchy.latency
 
 let fallback_store t c addr value =
   let line = Mem.Addr.line_of addr in
@@ -663,9 +674,13 @@ let fallback_store t c addr value =
 (* ------------------------------------------------------------------ *)
 (* One instruction                                                     *)
 
-let note_indirection c used_operands =
-  if List.exists (Regfile.operand_tainted c.regs) used_operands then c.indirection_seen <- true
+(* A branch or memory access whose operand carries an indirection bit
+   makes the region's footprint data-dependent (not immutable). *)
+let note_indirection c op =
+  if Regfile.operand_tainted c.regs op then c.indirection_seen <- true
 
+(* Execute the instruction at the PC; returns its latency, or -1 for
+   [Halt]. *)
 let exec_instr t c =
   let op = current_op c in
   let body = op.Workload.ar.Isa.Program.body in
@@ -677,42 +692,42 @@ let exec_instr t c =
   Stats.note_instr t.stats;
   let base = I.base_cost instr in
   match instr with
-  | I.Halt -> `Halt
+  | I.Halt -> -1
   | I.Nop ->
       c.pc <- c.pc + 1;
-      `Cost base
+      base
   | I.Mov { dst; src } ->
-      Regfile.define_alu c.regs ~dst [ src ] (Regfile.operand c.regs src);
+      Regfile.define_mov c.regs ~dst src (Regfile.operand c.regs src);
       c.pc <- c.pc + 1;
-      `Cost base
+      base
   | I.Binop { op = bop; dst; a; b } ->
       let v = I.eval_binop bop (Regfile.operand c.regs a) (Regfile.operand c.regs b) in
-      Regfile.define_alu c.regs ~dst [ a; b ] v;
+      Regfile.define_alu c.regs ~dst a b v;
       c.pc <- c.pc + 1;
-      `Cost base
+      base
   | I.Jmp target ->
       c.pc <- target;
-      `Cost base
+      base
   | I.Br { cond; a; b; target } ->
-      note_indirection c [ a; b ];
+      note_indirection c a;
+      note_indirection c b;
       let taken = I.eval_cond cond (Regfile.operand c.regs a) (Regfile.operand c.regs b) in
       c.pc <- (if taken then target else c.pc + 1);
-      `Cost base
+      base
   | I.Ld { dst; base = baseop; off; region = _ } ->
-      note_indirection c [ baseop ];
+      note_indirection c baseop;
       let addr = Regfile.operand c.regs baseop + off in
-      let value, latency =
+      let latency =
         match c.mode with
-        | M_spec -> spec_load t c addr
-        | M_scl -> scl_load t c addr
-        | M_nscl -> nscl_load t c addr
-        | M_fallback -> fallback_load t c addr
+        | M_spec -> spec_load t c ~dst addr
+        | M_scl -> scl_load t c ~dst addr
+        | M_nscl -> nscl_load t c ~dst addr
+        | M_fallback -> fallback_load t c ~dst addr
       in
-      Regfile.define_load c.regs ~dst value;
       c.pc <- c.pc + 1;
-      `Cost (base + latency)
+      base + latency
   | I.St { base = baseop; off; src; region = _ } ->
-      note_indirection c [ baseop ];
+      note_indirection c baseop;
       let addr = Regfile.operand c.regs baseop + off in
       let value = Regfile.operand c.regs src in
       let latency =
@@ -723,7 +738,7 @@ let exec_instr t c =
         | M_fallback -> fallback_store t c addr value
       in
       c.pc <- c.pc + 1;
-      `Cost (base + latency)
+      base + latency
 
 (* ------------------------------------------------------------------ *)
 (* Phase steps: each returns the latency until this core's next event.  *)
@@ -744,8 +759,8 @@ let begin_attempt_common c =
 let start_speculative t c =
   let op = current_op c in
   c.mode <- M_spec;
-  trace_ev t c (Trace.Begin_attempt { attempt = c.attempt; mode = "speculative" });
-  lock_ev t (Check.Lock_safety.Attempt_begin { time = t.now; core = c.id });
+  if tracing t then trace_ev t c (Trace.Begin_attempt { attempt = c.attempt; mode = "speculative" });
+  if capturing t then lock_ev t (Check.Lock_safety.Attempt_begin { time = t.now; core = c.id });
   Txn.start c.txn;
   try_acquire_power t c;
   c.discovery <-
@@ -762,7 +777,7 @@ let start_cl t c (mode : Clear.Decision.mode) =
   (* Read-lock the fallback lock, then queue the cacheline locks. *)
   if Fallback_lock.try_read_lock (op_lock t c) ~core:c.id then begin
     c.read_lock_held <- true;
-    lock_ev t (Check.Lock_safety.Attempt_begin { time = t.now; core = c.id });
+    if capturing t then lock_ev t (Check.Lock_safety.Attempt_begin { time = t.now; core = c.id });
     let lock_all = mode = Clear.Decision.Ns_cl in
     Clear.Alt.prepare_locking c.alt ~lock_all ~extra:(fun line -> t.cfg.use_crt && Clear.Crt.mem c.crt line);
     c.lock_queue <- Clear.Alt.to_lock c.alt;
@@ -782,8 +797,8 @@ let step_start t c =
     if Fallback_lock.try_write_lock lock ~core:c.id then begin
       doom_all_speculators t ~except:c.id ~lock_id:(current_op c).Workload.lock_id;
       c.mode <- M_fallback;
-      trace_ev t c (Trace.Begin_attempt { attempt = c.attempt; mode = "fallback" });
-      lock_ev t (Check.Lock_safety.Attempt_begin { time = t.now; core = c.id });
+      if tracing t then trace_ev t c (Trace.Begin_attempt { attempt = c.attempt; mode = "fallback" });
+      if capturing t then lock_ev t (Check.Lock_safety.Attempt_begin { time = t.now; core = c.id });
       c.planned <- None;
       begin_attempt_common c;
       t.cfg.xbegin_cost
@@ -821,24 +836,26 @@ let step_lock t c =
             Conflict_map.writers_excl t.conflicts ~core:c.id line
             lor Conflict_map.readers_excl t.conflicts ~core:c.id line
           in
-          Conflict_map.iter_cores mask (fun w ->
-              note_conflict t c t.cores.(w) line;
-              doom t t.cores.(w) Abort.Memory_conflict (Some line));
-          trace_ev t c (Trace.Locked line);
-          lock_ev t
-            (Check.Lock_safety.Lock
-               { time = t.now; core = c.id; line; key = entry.Clear.Alt.dir_set });
+          if mask <> 0 then
+            Conflict_map.iter_cores mask (fun w ->
+                note_conflict t c t.cores.(w) line;
+                doom t t.cores.(w) Abort.Memory_conflict (Some line));
+          if tracing t then trace_ev t c (Trace.Locked line);
+          if capturing t then
+            lock_ev t
+              (Check.Lock_safety.Lock
+                 { time = t.now; core = c.id; line; key = entry.Clear.Alt.dir_set });
           Clear.Alt.mark_locked entry;
           c.lock_queue <- rest;
           (* Lexicographically ordered locking is pipelined: charge the
              issue slot, and the transfer only when data had to move. *)
           let latency = max 2 (outcome.Mem.Hierarchy.latency / 2) in
-          Simrt.Counter.add (Stats.counters t.stats) "lock_phase_cycles" latency;
+          Stats.note_lock_phase_cycles t.stats latency;
           latency
       | `Held_by _ ->
           (* Owner will release at its AR end; retry (directory unblocks the
              entry rather than queueing us — paper Figure 6). *)
-          Simrt.Counter.add (Stats.counters t.stats) "lock_phase_cycles" (t.cfg.spin_cycles / 2);
+          Stats.note_lock_phase_cycles t.stats (t.cfg.spin_cycles / 2);
           t.cfg.spin_cycles / 2)
 
 let enter_failed_mode t c cause =
@@ -861,7 +878,13 @@ let step_exec t c =
   | Some (cause, _) -> do_abort t c cause
   | None -> (
       match exec_instr t c with
-      | `Cost latency ->
+      | -1 ->
+          if c.failed_mode then begin
+            end_of_discovery_decision t c;
+            do_abort t c c.failed_cause
+          end
+          else do_commit t c
+      | latency ->
           (* In-core speculation (SLE) is bounded by the ROB and SQ: a region
              that outgrows the window cannot complete speculatively (paper
              §4.1, assessment 1). NS-CL and fallback run non-speculatively
@@ -881,18 +904,12 @@ let step_exec t c =
             if c.failed_mode then Stats.note_failed_discovery_cycles t.stats latency;
             latency
           end
-      | `Halt ->
-          if c.failed_mode then begin
-            end_of_discovery_decision t c;
-            do_abort t c c.failed_cause
-          end
-          else do_commit t c
       | exception Stall_now ->
           (* Re-issue the same instruction once the holder has had time to
              make progress. The PC did not advance. *)
           c.attempt_instrs <- c.attempt_instrs - 1;
           let latency = t.cfg.spin_cycles / 2 in
-          Simrt.Counter.add (Stats.counters t.stats) "stall_cycles" latency;
+          Stats.note_stall_cycles t.stats latency;
           if c.failed_mode then Stats.note_failed_discovery_cycles t.stats latency;
           latency
       | exception Abort_now cause ->
@@ -971,25 +988,21 @@ let step_next_op t c =
          arrivals up to [now] into the backlog, so FIFO order and drop
          decisions depend only on virtual time, never on host scheduling. *)
       Openq.admit_until oq ~now:t.now;
-      match Openq.dispatch oq ~now:t.now with
-      | Some req ->
-          c.req <- req;
-          issue_op t c
-      | None ->
-          if Openq.exhausted oq then begin
-            c.finished <- true;
-            c.phase <- P_done;
-            0
-          end
-          else
-            (* Backlog empty but more requests are coming: park until the
-               next arrival. Draws nothing from the RNG. *)
-            let ta =
-              match Openq.next_arrival oq with
-              | Some ta -> ta
-              | None -> assert false (* not exhausted ⇒ an arrival exists *)
-            in
-            max 1 (ta - t.now))
+      let req = Openq.dispatch oq ~now:t.now in
+      if req >= 0 then begin
+        c.req <- req;
+        issue_op t c
+      end
+      else if Openq.exhausted oq then begin
+        c.finished <- true;
+        c.phase <- P_done;
+        0
+      end
+      else
+        (* Backlog empty but more requests are coming: park until the next
+           arrival (not exhausted, so one exists). Draws nothing from the
+           RNG. *)
+        max 1 (Openq.next_arrival oq - t.now))
 
 let step t c =
   match c.phase with
@@ -999,9 +1012,12 @@ let step t c =
   | P_exec -> step_exec t c
   | P_done -> 0
 
+(* Words this domain has allocated so far. [Gc.minor_words] counts the
+   live minor heap too; [Gc.quick_stat]'s minor count is only refreshed at
+   minor collections, so it misses most of a short run's allocation. *)
 let gc_words () =
-  let s = Gc.quick_stat () in
-  s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words
+  let _, promoted, major = Gc.counters () in
+  Gc.minor_words () +. major -. promoted
 
 (* Fold the request queue's end-of-run totals into the perf record — off the
    per-event datapath, so the open counters cost nothing when unused. *)
@@ -1067,23 +1083,24 @@ let run_sequential ~max_cycles t =
   let last_time = ref 0 in
   let continue = ref true in
   while !continue && !remaining > 0 do
-    match Event_queue.pop t.queue with
-    | None -> failwith "Engine.run: event queue drained with unfinished threads"
-    | Some (time, id) ->
-        t.perf.events_popped <- t.perf.events_popped + 1;
-        if time > max_cycles then livelock_fail t;
-        t.now <- time;
-        let c = t.cores.(id) in
-        let latency = step t c in
-        if c.finished then begin
-          decr remaining;
-          last_time := max !last_time time
-        end
-        else begin
-          Stats.add_busy_cycles t.stats latency;
-          Event_queue.push t.queue ~time:(time + max 1 latency) id
-        end;
-        if !remaining = 0 then continue := false
+    if Event_queue.is_empty t.queue then
+      failwith "Engine.run: event queue drained with unfinished threads";
+    let time = Event_queue.min_time t.queue in
+    let id = Event_queue.pop t.queue in
+    t.perf.events_popped <- t.perf.events_popped + 1;
+    if time > max_cycles then livelock_fail t;
+    t.now <- time;
+    let c = t.cores.(id) in
+    let latency = step t c in
+    if c.finished then begin
+      decr remaining;
+      last_time := max !last_time time
+    end
+    else begin
+      Stats.add_busy_cycles t.stats latency;
+      Event_queue.push t.queue ~time:(time + max 1 latency) id
+    end;
+    if !remaining = 0 then continue := false
   done;
   Stats.set_total_cycles t.stats !last_time;
   t.perf.sims <- t.perf.sims + 1;

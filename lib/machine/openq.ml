@@ -4,7 +4,9 @@ type t = {
   commit_t : int array;
   dropped : bool array;
   cap : int;
-  backlog : int Queue.t;
+  backlog : int array; (* FIFO of request ids in [head, tail) *)
+  mutable head : int;
+  mutable tail : int;
   mutable next_idx : int;
   mutable admitted : int;
   mutable n_dropped : int;
@@ -52,7 +54,10 @@ let create (q : Config.open_queue) rng =
     commit_t = Array.make n (-1);
     dropped = Array.make n false;
     cap = q.open_queue_cap;
-    backlog = Queue.create ();
+    (* Each request is enqueued at most once, so the FIFO never wraps. *)
+    backlog = Array.make n 0;
+    head = 0;
+    tail = 0;
     next_idx = 0;
     admitted = 0;
     n_dropped = 0;
@@ -65,34 +70,36 @@ let admit_until t ~now =
   while t.next_idx < n && t.arrival_t.(t.next_idx) <= now do
     let i = t.next_idx in
     t.next_idx <- i + 1;
-    if t.cap > 0 && Queue.length t.backlog >= t.cap then (
+    if t.cap > 0 && t.tail - t.head >= t.cap then (
       t.dropped.(i) <- true;
       t.n_dropped <- t.n_dropped + 1)
     else (
-      Queue.add i t.backlog;
+      t.backlog.(t.tail) <- i;
+      t.tail <- t.tail + 1;
       t.admitted <- t.admitted + 1;
-      let d = Queue.length t.backlog in
+      let d = t.tail - t.head in
       if d > t.qdepth_hw then t.qdepth_hw <- d)
   done
 
 let dispatch t ~now =
-  match Queue.take_opt t.backlog with
-  | None -> None
-  | Some i ->
-      t.dispatch_t.(i) <- now;
-      Some i
+  if t.head = t.tail then -1
+  else begin
+    let i = t.backlog.(t.head) in
+    t.head <- t.head + 1;
+    t.dispatch_t.(i) <- now;
+    i
+  end
 
 let complete t ~req ~now =
   if t.commit_t.(req) >= 0 then invalid_arg "Openq.complete: request completed twice";
   t.commit_t.(req) <- now;
   t.completed <- t.completed + 1
 
-let next_arrival t =
-  if t.next_idx < Array.length t.arrival_t then Some t.arrival_t.(t.next_idx) else None
+let next_arrival t = if t.next_idx < Array.length t.arrival_t then t.arrival_t.(t.next_idx) else -1
 
-let backlog_depth t = Queue.length t.backlog
+let backlog_depth t = t.tail - t.head
 
-let exhausted t = t.next_idx >= Array.length t.arrival_t && Queue.is_empty t.backlog
+let exhausted t = t.next_idx >= Array.length t.arrival_t && t.head = t.tail
 
 let total t = Array.length t.arrival_t
 

@@ -38,17 +38,17 @@ val admit_until : t -> now:int -> unit
     callers invoke it before every dispatch attempt, which makes the lazy
     admission exact. *)
 
-val dispatch : t -> now:int -> int option
-(** Pop the oldest waiting request (FIFO) and stamp its dispatch time.
-    [None] when the backlog is empty. *)
+val dispatch : t -> now:int -> int
+(** Pop the oldest waiting request (FIFO), stamp its dispatch time and
+    return its id; [-1] when the backlog is empty. *)
 
 val complete : t -> req:int -> now:int -> unit
 (** Stamp [req]'s commit time. Raises [Invalid_argument] if the request
     already completed — one request maps to exactly one committed AR. *)
 
-val next_arrival : t -> int option
+val next_arrival : t -> int
 (** Arrival time of the earliest request not yet admitted or dropped;
-    [None] once the schedule is exhausted. Idle cores sleep until this. *)
+    [-1] once the schedule is exhausted. Idle cores sleep until this. *)
 
 val exhausted : t -> bool
 (** No future arrivals and nothing waiting: dispatchers can park. *)

@@ -23,8 +23,13 @@ val operand : t -> Isa.Instr.operand -> int
 val indirection : t -> Clear.Indirection.t
 (** The underlying bit vector, for discovery checks. *)
 
-val define_alu : t -> dst:Isa.Instr.reg -> Isa.Instr.operand list -> int -> unit
-(** Write an ALU/move result: indirection = OR of source-register bits. *)
+val define_mov : t -> dst:Isa.Instr.reg -> Isa.Instr.operand -> int -> unit
+(** Write a move result: the destination inherits the source's indirection
+    bit (an immediate carries none). *)
+
+val define_alu : t -> dst:Isa.Instr.reg -> Isa.Instr.operand -> Isa.Instr.operand -> int -> unit
+(** Write a two-operand ALU result: indirection = OR of the operands'
+    bits. *)
 
 val define_load : t -> dst:Isa.Instr.reg -> int -> unit
 (** Write a load result: indirection bit set. *)

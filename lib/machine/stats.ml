@@ -28,11 +28,17 @@ type t = {
   mutable first_aborted : int;
   mutable footprint_stable : int;
   ar_commits : (string, int) Hashtbl.t;
+  instrs_c : Counter.cell;
+  wasted_c : Counter.cell;
+  aborts_c : Counter.cell;
+  lock_phase_c : Counter.cell;
+  stall_c : Counter.cell;
 }
 
 let create () =
+  let counters = Counter.create_set () in
   {
-    counters = Counter.create_set ();
+    counters;
     commits = 0;
     commits_by_mode = Array.make 4 0;
     retry_hist = Hashtbl.create 16;
@@ -47,13 +53,19 @@ let create () =
     first_aborted = 0;
     footprint_stable = 0;
     ar_commits = Hashtbl.create 16;
+    instrs_c = Counter.cell counters "instrs";
+    wasted_c = Counter.cell counters "wasted_instrs";
+    aborts_c = Counter.cell counters "aborts";
+    lock_phase_c = Counter.cell counters "lock_phase_cycles";
+    stall_c = Counter.cell counters "stall_cycles";
   }
 
 let counters t = t.counters
 
 let bump tbl key n =
-  let v = match Hashtbl.find_opt tbl key with Some v -> v | None -> 0 in
-  Hashtbl.replace tbl key (v + n)
+  match Hashtbl.find tbl key with
+  | v -> Hashtbl.replace tbl key (v + n)
+  | exception Not_found -> Hashtbl.add tbl key n
 
 let note_commit ?ar t ~mode ~retries =
   t.commits <- t.commits + 1;
@@ -67,16 +79,24 @@ let commits_for_ar t name = match Hashtbl.find_opt t.ar_commits name with Some n
 
 let note_abort t cause =
   t.aborts <- t.aborts + 1;
-  Counter.incr t.counters "aborts";
+  Counter.bump t.aborts_c 1;
   bump t.aborts_by_cause cause 1
 
 let note_instr t =
   t.instrs <- t.instrs + 1;
-  Counter.incr t.counters "instrs"
+  Counter.bump t.instrs_c 1
 
-let note_wasted_instr t =
-  t.wasted_instrs <- t.wasted_instrs + 1;
-  Counter.incr t.counters "wasted_instrs"
+(* A zero count leaves the counter untouched, so an abort with no wasted
+   work creates no "wasted_instrs" entry. *)
+let note_wasted_instrs t n =
+  if n > 0 then begin
+    t.wasted_instrs <- t.wasted_instrs + n;
+    Counter.bump t.wasted_c n
+  end
+
+let note_lock_phase_cycles t n = Counter.bump t.lock_phase_c n
+
+let note_stall_cycles t n = Counter.bump t.stall_c n
 
 let note_failed_discovery_cycles t n = t.failed_discovery_cycles <- t.failed_discovery_cycles + n
 

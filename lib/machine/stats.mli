@@ -25,8 +25,17 @@ val note_abort : t -> Abort.cause -> unit
 
 val note_instr : t -> unit
 
-val note_wasted_instr : t -> unit
-(** Instruction executed in an attempt that later aborted. *)
+val note_wasted_instrs : t -> int -> unit
+(** [note_wasted_instrs t n]: [n] instructions executed in an attempt that
+    later aborted. *)
+
+val note_lock_phase_cycles : t -> int -> unit
+(** Cycles a CL-mode retry spent acquiring cacheline locks (the
+    ["lock_phase_cycles"] counter). *)
+
+val note_stall_cycles : t -> int -> unit
+(** Cycles an access stalled on a remotely locked line (the
+    ["stall_cycles"] counter). *)
 
 val note_failed_discovery_cycles : t -> int -> unit
 

@@ -83,9 +83,16 @@ let buffer_store t addr v =
   t.log_val.(t.log_len) <- v;
   t.log_len <- t.log_len + 1
 
+(* Index of the newest buffered store to [addr], or -1. *)
+let rec newest_store log addr i = if i < 0 || log.(i) = addr then i else newest_store log addr (i - 1)
+
 let forwarded t addr =
-  let rec scan i = if i < 0 then None else if t.log_addr.(i) = addr then Some t.log_val.(i) else scan (i - 1) in
-  scan (t.log_len - 1)
+  let i = newest_store t.log_addr addr (t.log_len - 1) in
+  if i >= 0 then Some t.log_val.(i) else None
+
+let load t store addr =
+  let i = newest_store t.log_addr addr (t.log_len - 1) in
+  if i >= 0 then t.log_val.(i) else Mem.Store.read store addr
 
 let store_count t = t.log_len
 

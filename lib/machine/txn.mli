@@ -46,6 +46,10 @@ val buffer_store : t -> Mem.Addr.t -> int -> unit
 val forwarded : t -> Mem.Addr.t -> int option
 (** Value a load should see if the address was speculatively written. *)
 
+val load : t -> Mem.Store.t -> Mem.Addr.t -> int
+(** The value a speculative load of the address reads: the newest buffered
+    store to it, else memory. Allocation-free. *)
+
 val store_count : t -> int
 (** Dynamic stores buffered (SQ occupancy in failed mode). *)
 

@@ -1,6 +1,7 @@
 (** Full-map MESI directory with cacheline locking.
 
-    One entry per line that has ever been touched. Tracks the exclusive owner
+    Per-line state lives in line-indexed pages allocated on first write;
+    untouched lines read as unowned, unshared and unlocked. Tracks the exclusive owner
     (M/E), the sharer set (bitmask over cores) and the CLEAR lock holder. The
     directory is the ordering point: lock acquisition, invalidation and
     downgrade all happen atomically at simulation-event granularity, which is
@@ -9,7 +10,11 @@
 
 type t
 
+val max_cores : int
+(** The most cores a directory tracks (62: one sharer-mask bit per core). *)
+
 val create : cores:int -> t
+(** Raises [Invalid_argument] unless [1 <= cores <= max_cores]. *)
 
 val cores : t -> int
 
@@ -24,7 +29,9 @@ val read : t -> core:int -> Addr.line -> coherence
 
 val write : t -> core:int -> Addr.line -> coherence * int list
 (** Obtain an exclusive copy. Returns the cores whose copies were invalidated
-    (used to propagate invalidations into their private tag stores). *)
+    (used to propagate invalidations into their private tag stores).
+    Allocates only when some copy is invalidated. Raises [Invalid_argument]
+    on a negative line. *)
 
 val drop_core : t -> core:int -> Addr.line -> unit
 (** Remove [core] from the entry (on private-cache eviction). *)
@@ -47,6 +54,14 @@ val unlock : t -> core:int -> Addr.line -> unit
 val unlock_all : t -> core:int -> unit
 (** Bulk release of every line locked by [core] (end of a CL-mode AR). *)
 
+val lock_holder : t -> Addr.line -> int
+(** The core holding the line's lock, or [-1]. Allocation-free form of
+    {!locked_by} for the per-access path. *)
+
 val locked_by : t -> Addr.line -> int option
 
 val locked_lines : t -> core:int -> Addr.line list
+(** Every line [core] holds locked, ascending. *)
+
+val locked_count : t -> core:int -> int
+(** [List.length (locked_lines t ~core)], without building the list. *)

@@ -1,5 +1,7 @@
 module Counter = Simrt.Counter
 
+type outcome = { latency : int; l1_evicted : Addr.line list }
+
 type t = {
   params : Params.t;
   store : Store.t;
@@ -7,15 +9,23 @@ type t = {
   l1s : Cache.t array;
   l2s : Cache.t array;
   l3 : Cache.t;
-  counters : Counter.set;
   numa : Numa.t;
   cores : int;
+  l1_hit_outcome : outcome; (* shared by every L1 hit: nothing evicted *)
+  (* Counter cells, resolved on first bump (see [Counter.cell]). *)
+  l1_hit : Counter.cell;
+  l2_hit : Counter.cell;
+  l3_hit : Counter.cell;
+  mem_access : Counter.cell;
+  coh_msgs : Counter.cell;
+  remote_transfer : Counter.cell;
+  line_locks : Counter.cell;
+  numa_adder_cycles : Counter.cell;
 }
-
-type outcome = { latency : int; l1_evicted : Addr.line list }
 
 let create ?(numa = Numa.flat) params ~cores ~store ~counters =
   if not (Numa.well_formed numa) then invalid_arg "Hierarchy.create: malformed NUMA matrix";
+  let cell = Counter.cell counters in
   {
     params;
     store;
@@ -23,9 +33,17 @@ let create ?(numa = Numa.flat) params ~cores ~store ~counters =
     l1s = Array.init cores (fun _ -> Cache.create ~sets:params.Params.l1_sets ~ways:params.Params.l1_ways);
     l2s = Array.init cores (fun _ -> Cache.create ~sets:params.Params.l2_sets ~ways:params.Params.l2_ways);
     l3 = Cache.create ~sets:params.Params.l3_sets ~ways:params.Params.l3_ways;
-    counters;
     numa;
     cores;
+    l1_hit_outcome = { latency = Params.load_latency params ~level:`L1; l1_evicted = [] };
+    l1_hit = cell "l1_hit";
+    l2_hit = cell "l2_hit";
+    l3_hit = cell "l3_hit";
+    mem_access = cell "mem_access";
+    coh_msgs = cell "coh_msgs";
+    remote_transfer = cell "remote_transfer";
+    line_locks = cell "line_locks";
+    numa_adder_cycles = cell "numa_adder_cycles";
   }
 
 let params t = t.params
@@ -40,7 +58,7 @@ let l2 t ~core = t.l2s.(core)
 
 let l3_set_of t line = line land (Cache.sets t.l3 - 1)
 
-let locked_by t line = Directory.locked_by t.directory line
+let lock_holder t line = Directory.lock_holder t.directory line
 
 let numa t = t.numa
 
@@ -51,7 +69,7 @@ let numa_adder t ~core line =
   Numa.adder t.numa ~cores:t.cores ~core ~dir_set:(Params.dir_set_of t.params line)
 
 let charge_numa t n =
-  if n > 0 then Counter.add t.counters "numa_adder_cycles" n;
+  if n > 0 then Counter.bump t.numa_adder_cycles n;
   n
 
 (* Install [line] in [core]'s private caches, spilling L1 victims into L2 and
@@ -72,43 +90,46 @@ let install_private t ~core line =
   !evicted
 
 let charge_coherence t (coh : Directory.coherence) =
-  Counter.add t.counters "coh_msgs" coh.msgs;
-  if coh.from_remote then Counter.incr t.counters "remote_transfer";
+  Counter.bump t.coh_msgs coh.msgs;
+  if coh.from_remote then Counter.bump t.remote_transfer 1;
   (coh.msgs * t.params.Params.coherence_msg / 4)
   + if coh.from_remote then t.params.Params.remote_transfer else 0
 
-let invalidate_remote t line cores =
-  List.iter
-    (fun c ->
+let rec invalidate_remote t line = function
+  | [] -> ()
+  | c :: rest ->
       ignore (Cache.invalidate t.l1s.(c) line : bool);
-      ignore (Cache.invalidate t.l2s.(c) line : bool))
-    cores
+      ignore (Cache.invalidate t.l2s.(c) line : bool);
+      invalidate_remote t line rest
 
 let access t ~core line ~exclusive =
   let p = t.params in
-  if locked_by t line = Some core then begin
+  if lock_holder t line = core then begin
     (* Pinned by our own cacheline lock: guaranteed L1-latency hit. *)
-    Counter.incr t.counters "l1_hit";
-    { latency = Params.load_latency p ~level:`L1; l1_evicted = [] }
+    Counter.bump t.l1_hit 1;
+    t.l1_hit_outcome
   end
   else begin
     let dir = t.directory in
-    let coh, invalidated =
-      if exclusive then Directory.write dir ~core line
-      else (Directory.read dir ~core line, [])
+    let coh =
+      if exclusive then begin
+        let coh, invalidated = Directory.write dir ~core line in
+        invalidate_remote t line invalidated;
+        coh
+      end
+      else Directory.read dir ~core line
     in
-    invalidate_remote t line invalidated;
     let coh_latency = charge_coherence t coh in
     let numa = numa_adder t ~core line in
     let l1 = t.l1s.(core) and l2 = t.l2s.(core) in
     (* An exclusive access that had to invalidate other copies pays the
        coherence round-trip even if its own tags hit. *)
     if Cache.touch l1 line && coh.msgs = 0 then begin
-      Counter.incr t.counters "l1_hit";
-      { latency = Params.load_latency p ~level:`L1; l1_evicted = [] }
+      Counter.bump t.l1_hit 1;
+      t.l1_hit_outcome
     end
     else if Cache.touch l2 line && not coh.from_remote then begin
-      Counter.incr t.counters "l2_hit";
+      Counter.bump t.l2_hit 1;
       (* Private hit, but any coherence exchange went through the line's
          home slice — cross-socket requesters pay the asymmetry adder. *)
       let remote = if coh.msgs > 0 then charge_numa t numa else 0 in
@@ -118,15 +139,15 @@ let access t ~core line ~exclusive =
     else begin
       let level =
         if coh.from_remote then begin
-          Counter.incr t.counters "l3_hit";
+          Counter.bump t.l3_hit 1;
           `L3
         end
         else if Cache.touch t.l3 line then begin
-          Counter.incr t.counters "l3_hit";
+          Counter.bump t.l3_hit 1;
           `L3
         end
         else begin
-          Counter.incr t.counters "mem_access";
+          Counter.bump t.mem_access 1;
           `Mem
         end
       in
@@ -140,25 +161,25 @@ let access t ~core line ~exclusive =
   end
 
 let read_line t ~core line =
-  match locked_by t line with
-  | Some holder when holder <> core ->
-      (* Callers must check the lock first; reading through a remote lock
-         would violate atomicity. *)
-      invalid_arg "Hierarchy.read_line: line locked by another core"
-  | Some _ | None -> access t ~core line ~exclusive:false
+  let holder = lock_holder t line in
+  if holder >= 0 && holder <> core then
+    (* Callers must check the lock first; reading through a remote lock
+       would violate atomicity. *)
+    invalid_arg "Hierarchy.read_line: line locked by another core"
+  else access t ~core line ~exclusive:false
 
 let write_line t ~core line =
-  match locked_by t line with
-  | Some holder when holder <> core -> invalid_arg "Hierarchy.write_line: line locked by another core"
-  | Some _ | None -> access t ~core line ~exclusive:true
+  let holder = lock_holder t line in
+  if holder >= 0 && holder <> core then invalid_arg "Hierarchy.write_line: line locked by another core"
+  else access t ~core line ~exclusive:true
 
 let lock_line t ~core line =
   match Directory.lock t.directory ~core line with
   | `Held_by holder -> `Held_by holder
   | `Acquired invalidated ->
       invalidate_remote t line invalidated;
-      Counter.incr t.counters "line_locks";
-      Counter.add t.counters "coh_msgs" 2;
+      Counter.bump t.line_locks 1;
+      Counter.bump t.coh_msgs 2;
       let evicted = install_private t ~core line in
       let transfer = if invalidated <> [] then t.params.Params.remote_transfer else 0 in
       (* Lock acquisition always talks to the home slice. *)
@@ -170,10 +191,10 @@ let unlock_line t ~core line = Directory.unlock t.directory ~core line
 let locked_lines t ~core = Directory.locked_lines t.directory ~core
 
 let unlock_all t ~core =
-  let lines = Directory.locked_lines t.directory ~core in
+  let n = Directory.locked_count t.directory ~core in
   Directory.unlock_all t.directory ~core;
-  Counter.add t.counters "coh_msgs" (if lines = [] then 0 else 1);
-  List.length lines
+  Counter.bump t.coh_msgs (if n = 0 then 0 else 1);
+  n
 
 let flush_core t ~core =
   Cache.iter t.l1s.(core) (fun line -> Directory.drop_core t.directory ~core line);

@@ -58,7 +58,8 @@ val unlock_line : t -> core:int -> Addr.line -> unit
 val unlock_all : t -> core:int -> int
 (** Bulk-unlock every line held by [core]; returns the number released. *)
 
-val locked_by : t -> Addr.line -> int option
+val lock_holder : t -> Addr.line -> int
+(** The core holding the line's cacheline lock, or [-1]. *)
 
 val locked_lines : t -> core:int -> Addr.line list
 (** Every line currently locked by [core] (release tracing and oracles). *)

@@ -1,96 +1,116 @@
-type 'a entry = { time : int; seq : int; payload : 'a }
+(* Structure-of-arrays heap: slot [i] of [time], [seq] and [payload] is one
+   event. Sifts move a hole instead of swapping, so each step is plain int
+   stores (no boxed entries, no write barrier). Sequence numbers are unique,
+   which makes (time, seq) a total order: any correct heap pops the same
+   sequence. *)
 
-type 'a t = {
-  mutable heap : 'a entry array;
+type t = {
+  mutable time : int array;
+  mutable seq : int array;
+  mutable payload : int array;
   mutable size : int;
   mutable next_seq : int;
 }
 
-let create () = { heap = [||]; size = 0; next_seq = 0 }
+let create () = { time = [||]; seq = [||]; payload = [||]; size = 0; next_seq = 0 }
 
 let is_empty t = t.size = 0
 
 let length t = t.size
 
 let clear t =
-  t.heap <- [||];
+  t.time <- [||];
+  t.seq <- [||];
+  t.payload <- [||];
   t.size <- 0;
   t.next_seq <- 0
 
-(* [a] sorts before [b] when earlier in time, or same time but pushed
-   earlier. *)
-let before a b = a.time < b.time || (a.time = b.time && a.seq < b.seq)
-
-let grow t e =
-  let cap = Array.length t.heap in
-  if t.size = cap then begin
-    let ncap = if cap = 0 then 16 else cap * 2 in
-    let nh = Array.make ncap e in
-    Array.blit t.heap 0 nh 0 t.size;
-    t.heap <- nh
-  end
+let grow t =
+  let cap = Array.length t.time in
+  let ncap = if cap = 0 then 16 else cap * 2 in
+  let extend a =
+    let na = Array.make ncap 0 in
+    Array.blit a 0 na 0 t.size;
+    na
+  in
+  t.time <- extend t.time;
+  t.seq <- extend t.seq;
+  t.payload <- extend t.payload
 
 let push t ~time payload =
   assert (time >= 0);
-  let e = { time; seq = t.next_seq; payload } in
-  t.next_seq <- t.next_seq + 1;
-  grow t e;
-  let h = t.heap in
+  if t.size = Array.length t.time then grow t;
+  let seq = t.next_seq in
+  t.next_seq <- seq + 1;
+  let times = t.time and seqs = t.seq and pays = t.payload in
+  (* Sift the hole up: the new event has the largest seq, so it moves above
+     a parent only when strictly earlier in time. *)
   let i = ref t.size in
   t.size <- t.size + 1;
-  h.(!i) <- e;
-  (* Sift up. *)
   let continue = ref true in
   while !continue && !i > 0 do
     let parent = (!i - 1) / 2 in
-    if before h.(!i) h.(parent) then begin
-      let tmp = h.(parent) in
-      h.(parent) <- h.(!i);
-      h.(!i) <- tmp;
+    if time < times.(parent) then begin
+      times.(!i) <- times.(parent);
+      seqs.(!i) <- seqs.(parent);
+      pays.(!i) <- pays.(parent);
       i := parent
     end
     else continue := false
-  done
+  done;
+  times.(!i) <- time;
+  seqs.(!i) <- seq;
+  pays.(!i) <- payload
+
+let min_time t =
+  if t.size = 0 then invalid_arg "Event_queue.min_time: empty queue";
+  t.time.(0)
 
 let pop t =
-  if t.size = 0 then None
-  else begin
-    let h = t.heap in
-    let top = h.(0) in
-    t.size <- t.size - 1;
-    if t.size > 0 then begin
-      h.(0) <- h.(t.size);
-      (* Sift down. *)
-      let i = ref 0 in
-      let continue = ref true in
-      while !continue do
-        let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-        let smallest = ref !i in
-        if l < t.size && before h.(l) h.(!smallest) then smallest := l;
-        if r < t.size && before h.(r) h.(!smallest) then smallest := r;
-        if !smallest <> !i then begin
-          let tmp = h.(!smallest) in
-          h.(!smallest) <- h.(!i);
-          h.(!i) <- tmp;
-          i := !smallest
+  if t.size = 0 then invalid_arg "Event_queue.pop: empty queue";
+  let times = t.time and seqs = t.seq and pays = t.payload in
+  let top = pays.(0) in
+  let n = t.size - 1 in
+  t.size <- n;
+  if n > 0 then begin
+    (* Sift the last event down from the root. *)
+    let lt = times.(n) and ls = seqs.(n) and lp = pays.(n) in
+    let i = ref 0 in
+    let continue = ref true in
+    while !continue do
+      let l = (2 * !i) + 1 in
+      if l >= n then continue := false
+      else begin
+        let r = l + 1 in
+        let c =
+          if r < n && (times.(r) < times.(l) || (times.(r) = times.(l) && seqs.(r) < seqs.(l)))
+          then r
+          else l
+        in
+        if times.(c) < lt || (times.(c) = lt && seqs.(c) < ls) then begin
+          times.(!i) <- times.(c);
+          seqs.(!i) <- seqs.(c);
+          pays.(!i) <- pays.(c);
+          i := c
         end
         else continue := false
-      done
-    end;
-    Some (top.time, top.payload)
-  end
-
-let peek_time t = if t.size = 0 then None else Some t.heap.(0).time
+      end
+    done;
+    times.(!i) <- lt;
+    seqs.(!i) <- ls;
+    pays.(!i) <- lp
+  end;
+  top
 
 let pop_until t ~time:horizon =
-  (* One [pop] per drained event, but no per-event [peek] round-trips: the
-     windowed PDES driver calls this once per window instead of peeking
+  (* One [pop] per drained event, but no per-event [min_time] round-trips:
+     the windowed PDES driver calls this once per window instead of peeking
      before every pop. *)
   let rec drain acc =
-    if t.size = 0 || t.heap.(0).time > horizon then List.rev acc
+    if t.size = 0 || t.time.(0) > horizon then List.rev acc
     else
-      match pop t with
-      | Some ev -> drain (ev :: acc)
-      | None -> List.rev acc
+      let time = t.time.(0) in
+      let payload = pop t in
+      drain ((time, payload) :: acc)
   in
   drain []

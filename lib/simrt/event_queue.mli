@@ -1,32 +1,37 @@
 (** Binary min-heap priority queue ordering simulator events by time.
 
-    The global simulation loop pops the (time, payload) pair with the smallest
-    time; ties are broken by insertion order (FIFO among equal times) so the
-    simulation is fully deterministic. *)
+    The global simulation loop pops the event with the smallest time; ties
+    are broken by insertion order (FIFO among equal times) so the simulation
+    is fully deterministic. Payloads are ints (the engine schedules core
+    ids), and the heap lives in three parallel int arrays — time, insertion
+    sequence and payload — so {!push} and {!pop} allocate nothing once the
+    arrays have grown to the queue's high-water mark. *)
 
-type 'a t
+type t
 
-val create : unit -> 'a t
+val create : unit -> t
 
-val is_empty : 'a t -> bool
+val is_empty : t -> bool
 
-val length : 'a t -> int
+val length : t -> int
 
-val push : 'a t -> time:int -> 'a -> unit
+val push : t -> time:int -> int -> unit
 (** [push q ~time x] schedules [x] at [time]. [time] must be
     non-negative. *)
 
-val pop : 'a t -> (int * 'a) option
-(** Remove and return the earliest event, or [None] if empty. *)
+val min_time : t -> int
+(** Time of the earliest event, without removing it. Raises
+    [Invalid_argument] when the queue is empty. *)
 
-val peek_time : 'a t -> int option
-(** Time of the earliest event without removing it. *)
+val pop : t -> int
+(** Remove the earliest event and return its payload; read its time with
+    {!min_time} first. Raises [Invalid_argument] when the queue is empty. *)
 
-val pop_until : 'a t -> time:int -> (int * 'a) list
-(** [pop_until q ~time] removes and returns every event scheduled at or
-    before [time], in exactly the order repeated {!pop} calls would yield
-    ((time, insertion) order). Batched drain for windowed consumers: the
-    horizon is tested against the heap root, so events beyond it pay no heap
-    operation at all. *)
+val pop_until : t -> time:int -> (int * int) list
+(** [pop_until q ~time] removes and returns every (time, payload) event
+    scheduled at or before [time], in exactly the order repeated {!pop}
+    calls would yield ((time, insertion) order). Batched drain for windowed
+    consumers: the horizon is tested against the heap root, so events beyond
+    it pay no heap operation at all. *)
 
-val clear : 'a t -> unit
+val clear : t -> unit

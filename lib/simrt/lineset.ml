@@ -16,11 +16,11 @@ let size t = t.len
 
 let is_empty t = t.len = 0
 
-let mem t x =
-  let d = t.data in
-  let n = t.len in
-  let rec scan i = i < n && (Array.unsafe_get d i = x || scan (i + 1)) in
-  scan 0
+(* Top-level scan: a local closure over [d], [n] and [x] would be
+   allocated on every call. *)
+let rec scan d n x i = i < n && (Array.unsafe_get d i = x || scan d n x (i + 1))
+
+let mem t x = scan t.data t.len x 0
 
 let add t x =
   if not (mem t x) then begin

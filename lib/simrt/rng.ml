@@ -1,25 +1,32 @@
-type t = { mutable state : int64; seed : int64 }
+(* The 64-bit state lives in an 8-byte buffer rather than a mutable
+   [int64] field: a field store boxes a fresh int64 on every draw, while
+   the bytes primitives read and write it unboxed, so with the helpers
+   inlined a draw allocates nothing. *)
+type t = { state : Bytes.t; seed : int64 }
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let mix64 z =
+let[@inline] mix64 z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let create seed =
-  let s = Int64.of_int seed in
-  { state = s; seed = s }
+let make s =
+  let state = Bytes.create 8 in
+  Bytes.set_int64_ne state 0 s;
+  { state; seed = s }
 
-let next_int64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix64 t.state
+let create seed = make (Int64.of_int seed)
+
+let[@inline] next_int64 t =
+  let s = Int64.add (Bytes.get_int64_ne t.state 0) golden_gamma in
+  Bytes.set_int64_ne t.state 0 s;
+  mix64 s
 
 let split t salt =
   (* Derive the child seed from the parent's original seed, not its current
      position, so stream identities do not depend on draw order. *)
-  let s = mix64 (Int64.add t.seed (Int64.mul (Int64.of_int salt) golden_gamma)) in
-  { state = s; seed = s }
+  make (mix64 (Int64.add t.seed (Int64.mul (Int64.of_int salt) golden_gamma)))
 
 let int t bound =
   assert (bound > 0);
@@ -30,7 +37,7 @@ let int_in t lo hi =
   assert (lo <= hi);
   lo + int t (hi - lo + 1)
 
-let float t bound =
+let[@inline] float t bound =
   let r = Int64.to_float (Int64.shift_right_logical (next_int64 t) 11) in
   r /. 9007199254740992.0 *. bound
 

@@ -478,6 +478,55 @@ let test_sle_every_workload_completes () =
       Alcotest.(check int) (w.name ^ " commits everything under SLE") 60 (Stats.commits stats))
     Workloads.Registry.all
 
+(* ------------------------------------------------------------------ *)
+(* Allocation budget: the per-event datapath (event queue, hierarchy,
+   directory, counters, loads and stores) allocates nothing in steady
+   state. What remains per event is per-operation and per-attempt work
+   (workload drivers building ops, think-time draws, abort bookkeeping)
+   amortised over the events of an operation. A regression that puts an
+   option, tuple, closure or hashed lookup back on the per-event path costs
+   tens of words per event and fails here. *)
+
+let alloc_budget_words_per_event = 16.0
+
+(* Summed over [runs] fresh simulations, so the total spans many minor
+   collections and the ratio does not hinge on one run's heap timing. *)
+let check_alloc_budget what ~runs make =
+  let total = Simrt.Perfctr.create () in
+  for _ = 1 to runs do
+    let engine = make () in
+    ignore (Engine.run engine : Stats.t);
+    Simrt.Perfctr.merge_into ~dst:total (Engine.perfctr engine)
+  done;
+  let wpe =
+    float_of_int total.Simrt.Perfctr.allocated_words
+    /. float_of_int total.Simrt.Perfctr.events_popped
+  in
+  if wpe > alloc_budget_words_per_event then
+    Alcotest.failf "%s: %.1f words allocated per event over %d events (budget %.0f)" what wpe
+      total.Simrt.Perfctr.events_popped alloc_budget_words_per_event
+
+let test_alloc_budget_closed () =
+  (* The hashmap/C/seed 3 golden configuration. *)
+  let cfg =
+    Config.with_seed { Config.clear_rw with Config.cores = 4; ops_per_thread = 40; max_retries = 4 } 3
+  in
+  let w = Workloads.Registry.find "hashmap" in
+  check_alloc_budget "closed loop (hashmap, C)" ~runs:20 (fun () -> Engine.create cfg w)
+
+let test_alloc_budget_open () =
+  let q =
+    { Config.open_rate = 80.0; open_requests = 5_000; open_process = Config.Open_poisson;
+      open_queue_cap = 0 }
+  in
+  let cfg =
+    Config.with_openloop
+      (Config.with_seed (Config.with_cores (Config.with_retries Config.clear_rw 1) 4) 11)
+      (Some q)
+  in
+  let w = Workloads.Registry.open_scaled "arrayswap" ~keys:(1 lsl 8) ~theta:6.0 in
+  check_alloc_budget "open loop (arrayswap, C)" ~runs:1 (fun () -> Engine.create cfg w)
+
 let case name f = Alcotest.test_case name `Quick f
 
 let per_preset name f = List.map (fun (l, p) -> case (name ^ " [" ^ l ^ "]") (f (l, p))) presets
@@ -500,6 +549,11 @@ let () =
           case "same seed, same run" test_determinism;
           case "seed sensitivity" test_seed_changes_outcome;
           case "golden fingerprints (pre-rewrite engine)" test_golden_fingerprints;
+        ] );
+      ( "allocation",
+        [
+          case "closed-loop words per event within budget" test_alloc_budget_closed;
+          case "open-loop words per event within budget" test_alloc_budget_open;
         ] );
       ( "atomicity",
         per_preset "bitcoin conservation" test_bitcoin_conservation

@@ -272,6 +272,46 @@ let test_suite_cached_identical () =
     (Table.to_string (Experiments.fig8 s3));
   ignore (Suite_cache.clear ())
 
+(* ------------------------------------------------------------------ *)
+(* CLI argument validation: out-of-range values are rejected where the
+   command line is parsed, with a one-line error and exit status 2, never
+   an uncaught library exception (cmdliner's exit 125). *)
+
+let clear_sim = Filename.concat (Filename.concat ".." "bin") "clear_sim.exe"
+
+let read_lines path =
+  let ic = open_in path in
+  let rec go acc = match input_line ic with l -> go (l :: acc) | exception End_of_file -> List.rev acc in
+  let lines = go [] in
+  close_in ic;
+  lines
+
+let run_cli args =
+  let err = Filename.temp_file "clear_sim" ".err" in
+  let code =
+    Sys.command
+      (Printf.sprintf "%s %s >/dev/null 2>%s" (Filename.quote clear_sim) args (Filename.quote err))
+  in
+  let lines = read_lines err in
+  Sys.remove err;
+  (code, lines)
+
+let test_cli_rejects args () =
+  let code, lines = run_cli args in
+  Alcotest.(check int) (args ^ ": exit status") 2 code;
+  match lines with
+  | [ line ] ->
+      Alcotest.(check bool) (args ^ ": names the program") true
+        (String.length line > 10 && String.sub line 0 10 = "clear_sim:")
+  | _ -> Alcotest.failf "%s: expected one line on stderr, got %d" args (List.length lines)
+
+let test_cli_accepts_core_bounds () =
+  List.iter
+    (fun args ->
+      let code, _ = run_cli args in
+      Alcotest.(check int) (args ^ ": exit status") 0 code)
+    [ "run --cores 1 --ops 2"; "run --cores 62 --ops 1" ]
+
 let () =
   Alcotest.run "harness"
     [
@@ -306,4 +346,16 @@ let () =
             test_prune_legacy_and_clear_scope;
           Alcotest.test_case "cached suite identical" `Slow test_suite_cached_identical;
         ] );
+      ( "cli",
+        List.map
+          (fun args -> Alcotest.test_case ("rejects " ^ args) `Quick (test_cli_rejects args))
+          [
+            "run --cores 0";
+            "run --cores 63";
+            "run --cores 64";
+            "run --cores 65";
+            "openloop --loads 0";
+            "openloop --requests 0";
+          ]
+        @ [ Alcotest.test_case "accepts 1 and 62 cores" `Quick test_cli_accepts_core_bounds ] );
     ]

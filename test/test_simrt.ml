@@ -105,33 +105,45 @@ let test_zipf_skew () =
 (* ------------------------------------------------------------------ *)
 (* Event_queue *)
 
+(* Payloads are ints (the engine schedules core ids). *)
+let drain_queue q =
+  let rec go acc =
+    if Event_queue.is_empty q then List.rev acc
+    else
+      let time = Event_queue.min_time q in
+      let p = Event_queue.pop q in
+      go ((time, p) :: acc)
+  in
+  go []
+
 let test_queue_ordering () =
   let q = Event_queue.create () in
-  Event_queue.push q ~time:5 "c";
-  Event_queue.push q ~time:1 "a";
-  Event_queue.push q ~time:3 "b";
-  let pop () = match Event_queue.pop q with Some (_, x) -> x | None -> "-" in
-  Alcotest.(check string) "first" "a" (pop ());
-  Alcotest.(check string) "second" "b" (pop ());
-  Alcotest.(check string) "third" "c" (pop ());
+  Event_queue.push q ~time:5 3;
+  Event_queue.push q ~time:1 1;
+  Event_queue.push q ~time:3 2;
+  Alcotest.(check int) "first" 1 (Event_queue.pop q);
+  Alcotest.(check int) "second" 2 (Event_queue.pop q);
+  Alcotest.(check int) "third" 3 (Event_queue.pop q);
   Alcotest.(check bool) "empty" true (Event_queue.is_empty q)
 
 let test_queue_fifo_ties () =
   let q = Event_queue.create () in
   List.iter (fun x -> Event_queue.push q ~time:7 x) [ 1; 2; 3; 4 ];
-  let order = List.init 4 (fun _ -> match Event_queue.pop q with Some (_, x) -> x | None -> -1) in
+  let order = List.init 4 (fun _ -> Event_queue.pop q) in
   Alcotest.(check (list int)) "FIFO among equal times" [ 1; 2; 3; 4 ] order
 
 let test_queue_peek () =
   let q = Event_queue.create () in
-  Alcotest.(check (option int)) "empty peek" None (Event_queue.peek_time q);
-  Event_queue.push q ~time:9 ();
-  Event_queue.push q ~time:2 ();
-  Alcotest.(check (option int)) "min time" (Some 2) (Event_queue.peek_time q)
+  Alcotest.check_raises "empty peek" (Invalid_argument "Event_queue.min_time: empty queue")
+    (fun () -> ignore (Event_queue.min_time q : int));
+  Event_queue.push q ~time:9 0;
+  Event_queue.push q ~time:2 0;
+  Alcotest.(check int) "min time" 2 (Event_queue.min_time q);
+  Alcotest.(check int) "peek removes nothing" 2 (Event_queue.length q)
 
 let test_queue_clear () =
   let q = Event_queue.create () in
-  Event_queue.push q ~time:1 ();
+  Event_queue.push q ~time:1 0;
   Event_queue.clear q;
   Alcotest.(check int) "cleared" 0 (Event_queue.length q)
 
@@ -141,10 +153,7 @@ let prop_queue_sorted =
     (fun times ->
       let q = Event_queue.create () in
       List.iter (fun t -> Event_queue.push q ~time:t t) times;
-      let rec drain acc =
-        match Event_queue.pop q with Some (t, _) -> drain (t :: acc) | None -> List.rev acc
-      in
-      let popped = drain [] in
+      let popped = List.map fst (drain_queue q) in
       popped = List.sort compare times)
 
 (* The simulator's determinism hinges on the full (time, seq) order: among
@@ -156,11 +165,8 @@ let prop_queue_time_seq_sorted =
     QCheck.(list (int_range 0 20))
     (fun times ->
       let q = Event_queue.create () in
-      List.iteri (fun i t -> Event_queue.push q ~time:t (t, i)) times;
-      let rec drain acc =
-        match Event_queue.pop q with Some (_, p) -> drain (p :: acc) | None -> List.rev acc
-      in
-      let popped = drain [] in
+      List.iteri (fun i t -> Event_queue.push q ~time:t i) times;
+      let popped = drain_queue q in
       let expected =
         List.stable_sort
           (fun (t1, _) (t2, _) -> compare t1 t2)
@@ -177,22 +183,21 @@ let prop_queue_pop_until =
     (fun (times, horizon) ->
       let fill () =
         let q = Event_queue.create () in
-        List.iteri (fun i t -> Event_queue.push q ~time:t (t, i)) times;
+        List.iteri (fun i t -> Event_queue.push q ~time:t i) times;
         q
       in
       let qa = fill () and qb = fill () in
       let batch = Event_queue.pop_until qa ~time:horizon in
       let rec drain acc =
-        match Event_queue.peek_time qb with
-        | Some t when t <= horizon -> (
-            match Event_queue.pop qb with Some ev -> drain (ev :: acc) | None -> List.rev acc)
-        | _ -> List.rev acc
+        if (not (Event_queue.is_empty qb)) && Event_queue.min_time qb <= horizon then begin
+          let t = Event_queue.min_time qb in
+          let p = Event_queue.pop qb in
+          drain ((t, p) :: acc)
+        end
+        else List.rev acc
       in
       let manual = drain [] in
-      let rec rest q acc =
-        match Event_queue.pop q with Some ev -> rest q (ev :: acc) | None -> List.rev acc
-      in
-      batch = manual && rest qa [] = rest qb [])
+      batch = manual && drain_queue qa = drain_queue qb)
 
 (* Interleaved pushes and pops must preserve the same invariant: what pops
    next is always the earliest (time, seq) of what is currently queued. *)
@@ -211,18 +216,76 @@ let prop_queue_interleaved =
       List.for_all
         (function
           | Some t ->
-              Event_queue.push q ~time:t (t, !idx);
+              Event_queue.push q ~time:t !idx;
               live := S.add (t, !idx) !live;
               incr idx;
               true
-          | None -> (
-              match Event_queue.pop q with
-              | None -> S.is_empty !live
-              | Some (_, p) ->
-                  let expected = S.min_elt !live in
-                  live := S.remove expected !live;
-                  p = expected))
+          | None ->
+              if Event_queue.is_empty q then S.is_empty !live
+              else begin
+                let time = Event_queue.min_time q in
+                let p = Event_queue.pop q in
+                let expected = S.min_elt !live in
+                live := S.remove expected !live;
+                (time, p) = expected
+              end)
         script)
+
+(* Model check: the heap against a (time, seq)-sorted association list,
+   over random scripts of pushes (a narrow time range, so many ties), pops
+   and horizon drains. The payload is an arbitrary int unrelated to the
+   order, so a heap that lost track of which payload belongs to which key
+   would show. *)
+let prop_queue_model =
+  let op =
+    QCheck.Gen.(
+      frequency
+        [
+          (5, map2 (fun t p -> `Push (t, p)) (int_range 0 12) (int_range (-50) 50));
+          (3, return `Pop);
+          (1, map (fun h -> `Until h) (int_range 0 12));
+        ])
+  in
+  let print = function
+    | `Push (t, p) -> Printf.sprintf "push %d %d" t p
+    | `Pop -> "pop"
+    | `Until h -> Printf.sprintf "until %d" h
+  in
+  QCheck.Test.make ~name:"int heap == sorted (time, seq) list" ~count:300
+    (QCheck.make ~print:QCheck.Print.(list print) QCheck.Gen.(list_size (int_range 0 120) op))
+    (fun script ->
+      let q = Event_queue.create () in
+      (* model: ((time, seq), payload), kept sorted by (time, seq) *)
+      let model = ref [] and seq = ref 0 in
+      let insert key p =
+        let rec go = function
+          | [] -> [ (key, p) ]
+          | ((k, _) as x) :: rest -> if compare key k < 0 then (key, p) :: x :: rest else x :: go rest
+        in
+        model := go !model
+      in
+      let step = function
+        | `Push (t, p) ->
+            Event_queue.push q ~time:t p;
+            insert (t, !seq) p;
+            incr seq;
+            true
+        | `Pop -> (
+            match !model with
+            | [] -> Event_queue.is_empty q
+            | ((t, _), p) :: rest ->
+                model := rest;
+                (not (Event_queue.is_empty q))
+                && Event_queue.min_time q = t
+                && Event_queue.pop q = p)
+        | `Until h ->
+            let due, later = List.partition (fun ((t, _), _) -> t <= h) !model in
+            model := later;
+            Event_queue.pop_until q ~time:h = List.map (fun ((t, _), p) -> (t, p)) due
+      in
+      List.for_all step script
+      && Event_queue.length q = List.length !model
+      && drain_queue q = List.map (fun ((t, _), p) -> (t, p)) !model)
 
 (* ------------------------------------------------------------------ *)
 (* Summary *)
@@ -463,6 +526,7 @@ let () =
               prop_queue_time_seq_sorted;
               prop_queue_pop_until;
               prop_queue_interleaved;
+              prop_queue_model;
             ] );
       ( "pool",
         [
