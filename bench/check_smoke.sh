@@ -12,13 +12,22 @@
 # anyway) so both actually compute.
 #
 # Usage: sh bench/check_smoke.sh   (from the repository root or bench/)
+#
+# Run by hand, it builds bench/main.exe and writes BENCH_check.json at the
+# repository root. Under `dune build @ci` it runs inside _build/default with
+# INSIDE_DUNE set: it uses the bench/main.exe the rule depends on, starts no
+# nested build, and writes BENCH_check.json there, not into the source tree.
 
 set -eu
 
 cd "$(dirname "$0")/.."
 
-dune build bench/main.exe 2>&1
-BIN=_build/default/bench/main.exe
+if [ -n "${INSIDE_DUNE:-}" ]; then
+  BIN=bench/main.exe
+else
+  dune build bench/main.exe 2>&1
+  BIN=_build/default/bench/main.exe
+fi
 
 HOST_CORES=$( (nproc || getconf _NPROCESSORS_ONLN || echo 1) 2>/dev/null | head -n 1)
 

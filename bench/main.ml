@@ -72,11 +72,6 @@ let perf = ref false
    the config digest), so they never collide with symmetric results. *)
 let sched_profile = ref Sched.Profile.symmetric
 
-(* --pdes / --pdes-window N: run every simulation under the windowed
-   conservative PDES engine driver (bit-identical output; run_suite bypasses
-   the shard cache so the driver actually executes). *)
-let pdes : Machine.Pdes.t option ref = ref None
-
 (* --only W1,W2: restrict the suite sweep to the named workloads. This is
    how bench/paper_smoke.sh keeps a paper-sized (--paper) timing run
    affordable on a small host; figures derived from a restricted suite only
@@ -107,7 +102,7 @@ let get_suite opts =
            (if use_cache then ", shard cache on" else ""));
       let t0 = Unix.gettimeofday () in
       let s =
-        Experiments.run_suite ~jobs:!jobs ~check:!check ~cache:use_cache ?pdes:!pdes
+        Experiments.run_suite ~jobs:!jobs ~check:!check ~cache:use_cache
           ?workloads:!only_workloads ~progress opts
       in
       progress (Printf.sprintf "suite done in %.1f s" (Unix.gettimeofday () -. t0));
@@ -296,7 +291,7 @@ let run_perf opts =
           List.iter
             (fun seed ->
               let eng = Machine.Engine.create (Config.with_seed cfg seed) w in
-              ignore (Machine.Engine.run ?pdes:!pdes eng : Stats.t);
+              ignore (Machine.Engine.run eng : Stats.t);
               Simrt.Perfctr.merge_into ~dst:total (Machine.Engine.perfctr eng))
             opts.Experiments.seeds)
         [ "B"; "P"; "C"; "W" ])
@@ -304,9 +299,8 @@ let run_perf opts =
   let t =
     Table.create
       ~title:
-        (Printf.sprintf "Engine hot-path counters (%d workloads x 4 configs x seeds, %s)"
-           (List.length ws)
-           (match !pdes with None -> "sequential" | Some p -> Machine.Pdes.describe p))
+        (Printf.sprintf "Engine hot-path counters (%d workloads x 4 configs x seeds)"
+           (List.length ws))
       ~columns:[ "Counter"; "Total" ]
   in
   List.iter (fun (n, v) -> Table.add_row t [ n; string_of_int v ]) (Simrt.Perfctr.to_list total);
@@ -364,16 +358,6 @@ let () =
         | Some n -> jobs := Simrt.Pool.clamp_jobs ~context:"bench" n
         | None ->
             Printf.eprintf "--jobs expects a positive integer, got %s\n" n;
-            exit 2);
-        strip_flags acc rest
-    | "--pdes" :: rest ->
-        if !pdes = None then pdes := Some Machine.Pdes.unbounded;
-        strip_flags acc rest
-    | "--pdes-window" :: n :: rest ->
-        (match int_of_string_opt n with
-        | Some n when n >= 1 -> pdes := Some (Machine.Pdes.windowed n)
-        | Some _ | None ->
-            Printf.eprintf "--pdes-window expects a positive integer, got %s\n" n;
             exit 2);
         strip_flags acc rest
     | "--perf" :: rest ->

@@ -15,13 +15,22 @@
 # The disk cache is bypassed (--no-cache) so both runs actually compute.
 #
 # Usage: sh bench/perf_smoke.sh   (from the repository root or bench/)
+#
+# Run by hand, it builds bench/main.exe and writes BENCH_suite.json at the
+# repository root. Under `dune build @ci` it runs inside _build/default with
+# INSIDE_DUNE set: it uses the bench/main.exe the rule depends on, starts no
+# nested build, and writes BENCH_suite.json there, not into the source tree.
 
 set -eu
 
 cd "$(dirname "$0")/.."
 
-dune build bench/main.exe 2>&1
-BIN=_build/default/bench/main.exe
+if [ -n "${INSIDE_DUNE:-}" ]; then
+  BIN=bench/main.exe
+else
+  dune build bench/main.exe 2>&1
+  BIN=_build/default/bench/main.exe
+fi
 
 HOST_CORES=$( (nproc || getconf _NPROCESSORS_ONLN || echo 1) 2>/dev/null | head -n 1)
 
@@ -67,11 +76,13 @@ PERF_JSON=$(printf '%s\n' "$PERF_RAW" | awk '
   { printf "%s    \"%s\": %s", sep, $1, $2; sep = ",\n" }
   END { print "" }')
 
-# Soft drift gate: compare the fresh counters against the committed
-# BENCH_suite.json before overwriting it. A counter moving more than 10%
-# in either direction gets a CI-annotation-style warning line; the script
-# never fails on drift (counters legitimately move when the engine changes —
-# the warning just makes the move visible in the PR).
+# Soft drift gate: compare the fresh counters against the previous
+# BENCH_suite.json before overwriting it (the committed one when run by
+# hand; under @ci only what an earlier @ci run left in _build/default). A
+# counter moving more than 10% in either direction gets a CI-annotation-
+# style warning line; the script never fails on drift (counters legitimately
+# move when the engine changes — the warning just makes the move visible in
+# the PR).
 if [ -f BENCH_suite.json ]; then
   OLD_PERF=$(awk -F'"' '/^    "/ { name = $2; val = $3; gsub(/[^0-9]/, "", val);
                                    if (val != "") print name, val }' BENCH_suite.json)

@@ -15,13 +15,23 @@
 #     anything and the sweep is vacuous.
 #
 # Usage: sh bench/sched_smoke.sh   (from the repository root or bench/)
+#
+# Run by hand, it builds bin/clear_sim.exe and writes BENCH_sched.json at
+# the repository root. Under `dune build @ci` it runs inside _build/default
+# with INSIDE_DUNE set: it uses the bin/clear_sim.exe the rule depends on,
+# starts no nested build, and writes BENCH_sched.json there, not into the
+# source tree.
 
 set -eu
 
 cd "$(dirname "$0")/.."
 
-dune build bin/clear_sim.exe 2>&1
-BIN=_build/default/bin/clear_sim.exe
+if [ -n "${INSIDE_DUNE:-}" ]; then
+  BIN=bin/clear_sim.exe
+else
+  dune build bin/clear_sim.exe 2>&1
+  BIN=_build/default/bin/clear_sim.exe
+fi
 
 HOST_CORES=$( (nproc || getconf _NPROCESSORS_ONLN || echo 1) 2>/dev/null | head -n 1)
 

@@ -63,30 +63,6 @@ let frontend_arg =
   Arg.(value & opt frontend_conv Machine.Config.Htm
        & info [ "frontend" ] ~doc:"Speculation front-end: htm (transactions) or sle (lock elision).")
 
-(* --pdes / --pdes-window: select the windowed conservative PDES engine
-   driver (DESIGN.md §12). Output is bit-identical to the default driver at
-   every window size; the flags exist for timing comparisons and for
-   exercising the driver from the CLI. *)
-let pdes_term =
-  let flag_arg =
-    Arg.(value & flag
-         & info [ "pdes" ]
-             ~doc:"Use the windowed conservative PDES engine driver (unbounded lookahead \
-                   windows). Results are bit-identical to the default event loop.")
-  in
-  let window_arg =
-    Arg.(value & opt int 0
-         & info [ "pdes-window" ] ~docv:"CYCLES"
-             ~doc:"Cap PDES lookahead windows at $(docv) simulated cycles (0 = unbounded). \
-                   Implies --pdes.")
-  in
-  let mk flag window =
-    if window > 0 then Some (Machine.Pdes.windowed window)
-    else if flag then Some Machine.Pdes.unbounded
-    else None
-  in
-  Term.(const mk $ flag_arg $ window_arg)
-
 let find_workload name =
   match Workloads.Registry.find name with
   | w -> w
@@ -118,7 +94,7 @@ let config_of ?(frontend = Machine.Config.Htm) letter ~cores ~ops ~seed ~retries
   { base with Machine.Config.cores; ops_per_thread = ops; seed; max_retries = retries; frontend }
 
 let run_cmd =
-  let run workload letter cores ops seed retries frontend trace_n trace_out pdes =
+  let run workload letter cores ops seed retries frontend trace_n trace_out =
     let w = find_workload workload in
     let cfg = config_of ~frontend letter ~cores ~ops ~seed ~retries in
     let trace =
@@ -130,7 +106,7 @@ let run_cmd =
     in
     let t0 = Unix.gettimeofday () in
     let engine = Machine.Engine.create ?trace cfg w in
-    let stats = Machine.Engine.run ?pdes engine in
+    let stats = Machine.Engine.run engine in
     let elapsed = Unix.gettimeofday () -. t0 in
     let module S = Machine.Stats in
     Printf.printf "workload        %s (%s, %d cores, %d ops/thread, seed %d)\n" w.name letter cores
@@ -173,18 +149,6 @@ let run_cmd =
     Printf.printf "stall cycles    %d  lock-phase cycles %d\n" (counter "stall_cycles")
       (counter "lock_phase_cycles");
     Printf.printf "host time       %.2f s\n" elapsed;
-    (match pdes with
-    | None -> ()
-    | Some p ->
-        let perf = Machine.Engine.perfctr engine in
-        Printf.printf
-          "pdes            %s: %d windows, %d ext events, %d merge ties, %d stalls, mean \
-           lookahead %.1f (max %d)\n"
-          (Machine.Pdes.describe p) perf.Simrt.Perfctr.pdes_windows
-          perf.Simrt.Perfctr.pdes_ext_events perf.Simrt.Perfctr.pdes_merge_events
-          perf.Simrt.Perfctr.pdes_window_stalls
-          (Simrt.Perfctr.mean_lookahead perf)
-          perf.Simrt.Perfctr.pdes_lookahead_max);
     (match trace with
     | Some tr when trace_n > 0 ->
         let shown = min trace_n (Machine.Trace.retained tr) in
@@ -201,7 +165,7 @@ let run_cmd =
   let term =
     Term.(
       const run $ workload_arg $ preset_arg $ cores_arg $ ops_arg $ seed_arg $ retries_arg
-      $ frontend_arg $ trace_arg $ trace_out_arg $ pdes_term)
+      $ frontend_arg $ trace_arg $ trace_out_arg)
   in
   Cmd.v (Cmd.info "run" ~doc:"Run one benchmark under one configuration.") term
 
@@ -239,7 +203,7 @@ let sched_arg =
 let suite_cmd =
   let module Experiments = Clear_repro.Experiments in
   let module Suite_cache = Clear_repro.Suite_cache in
-  let suite jobs paper workload check stream no_cache cache_clear sched pdes =
+  let suite jobs paper workload check stream no_cache cache_clear sched =
     if cache_clear then begin
       let n = Suite_cache.clear () in
       Printf.eprintf "[suite] cleared %d cache shard(s) from %s\n%!" n Suite_cache.dir
@@ -256,16 +220,11 @@ let suite_cmd =
     in
     let progress label = Printf.eprintf "[suite] %s\n%!" label in
     (* A checked sweep must actually simulate — a cache hit would skip the
-       oracle entirely — so --check bypasses the cache in both directions.
-       Likewise --pdes: run_suite drops the cache so the driver actually
-       runs (shards are keyed by config and could not tell the two apart). *)
+       oracle entirely — so --check bypasses the cache in both directions. *)
     let use_cache = (not no_cache) && not check in
-    (match pdes with
-    | None -> ()
-    | Some p -> Printf.eprintf "[suite] engine driver: %s (cache bypassed)\n%!" (Machine.Pdes.describe p));
     let t0 = Unix.gettimeofday () in
     let s =
-      Experiments.run_suite ~jobs ~check ~stream ~cache:use_cache ?pdes ~workloads ~progress opts
+      Experiments.run_suite ~jobs ~check ~stream ~cache:use_cache ~workloads ~progress opts
     in
     Printf.eprintf "[suite] done in %.1f s on %d domain(s)%s\n%!"
       (Unix.gettimeofday () -. t0) jobs
@@ -305,7 +264,7 @@ let suite_cmd =
     (Cmd.info "suite"
        ~doc:"Run the 4-configuration sweep on a pool of domains; print Figure 8 and the headline.")
     Term.(const suite $ jobs_arg $ paper_arg $ workload_filter $ check_arg $ stream_arg
-          $ no_cache_arg $ cache_clear_arg $ sched_arg $ pdes_term)
+          $ no_cache_arg $ cache_clear_arg $ sched_arg)
 
 (* ------------------------------------------------------------------ *)
 (* sched: scenario sweep against the symmetric baseline                *)
@@ -859,7 +818,7 @@ let openloop_cmd =
   let module Sweep = Openloop.Sweep in
   let d = Sweep.default_options in
   let run json jobs workload keys theta loads requests process_name heat cap configs retries
-      cores seed check stream pdes =
+      cores seed check stream =
     let process =
       match String.lowercase_ascii process_name with
       | "poisson" -> Machine.Config.Open_poisson
@@ -898,7 +857,6 @@ let openloop_cmd =
         jobs;
         check;
         stream;
-        pdes;
       }
     in
     let results =
@@ -984,7 +942,7 @@ let openloop_cmd =
              Deterministic per seed at any --jobs.")
     Term.(const run $ json_arg $ jobs_arg $ workload_arg $ keys_arg $ theta_arg $ loads_arg
           $ requests_arg $ process_arg $ heat_arg $ cap_arg $ configs_arg $ openloop_retries_arg
-          $ openloop_cores_arg $ seed_arg $ check_arg $ stream_arg $ pdes_term)
+          $ openloop_cores_arg $ seed_arg $ check_arg $ stream_arg)
 
 let config_cmd =
   let show letter cores ops seed retries =

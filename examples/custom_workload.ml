@@ -80,7 +80,6 @@ let bank : W.t =
           let i = Simrt.Rng.int rng accounts in
           W.op deposit [ (0, account_addr i); (1, 1 + Simrt.Rng.int rng 9); (2, counter_addr) ]
         else W.op audit [ (0, account_addr 0); (5, mailbox tid) ]);
-    pure_driver = true;
   }
 
 let () =

@@ -58,7 +58,6 @@ type t = {
   cfg : Config.t;
   trace : Trace.t option;
   check : Check.Collector.t option;
-  workload : Workload.t;
   store : Mem.Store.t;
   hierarchy : Mem.Hierarchy.t;
   conflicts : Conflict_map.t;
@@ -146,7 +145,6 @@ let create ?trace ?check (cfg : Config.t) (workload : Workload.t) =
     cfg;
     trace;
     check;
-    workload;
     store;
     hierarchy;
     (* Hint from the workload's own memory, not [cfg.memory_words] (whose
@@ -1077,7 +1075,7 @@ let livelock_fail t =
        (String.concat "," (List.map string_of_int (Fallback_lock.readers (lock_table t 0))))
        dump)
 
-let run_sequential ~max_cycles t =
+let run ?(max_cycles = 4_000_000_000) t =
   let words_before = gc_words () in
   let remaining = ref (Array.length t.cores) in
   let last_time = ref 0 in
@@ -1109,522 +1107,4 @@ let run_sequential ~max_cycles t =
   sync_check_perf t;
   t.stats
 
-(* ------------------------------------------------------------------ *)
-(* Windowed conservative PDES driver (DESIGN.md §12).
-
-   The sequential loop interleaves cores through one global queue in
-   (time, push-order) order. [run_pdes] produces bit-identical output while
-   letting the globally earliest core drain a private burst of events
-   without re-entering the global selection:
-
-   - basic burst: while the leader's next event is strictly earlier than
-     every other core's pending event, executing it eagerly IS the
-     sequential order — no proof needed. This is the dynamic
-     next-conflict-time bound and is always available.
-   - extended burst: a leader mid-speculation (P_exec, M_spec, HTM
-     frontend, requester-wins, no trace/check observers) may also run past
-     peers' pending times when every active peer is provably insulated:
-     both sides' static line footprints ({!Staticcheck.Footprint}) resolve,
-     are line- and L3-set-disjoint, neither side's private caches hold any
-     of the other side's lines, and the peer provably cannot commit or
-     enter the fallback path (doom_all / global-lock acquisition) for at
-     least [slack] more cycles. Under those facts every leader event
-     executed before the bound commutes with every peer event it overtakes,
-     so state, stats and both cores' event streams are unchanged. Regions
-     whose footprint the interval domain lost (Cany sites, unresolvable
-     bindings) simply never extend — they fall back to basic bursts.
-
-   Sequence numbers are the subtle part: the sequential driver breaks time
-   ties by push order, and an overtaking burst pushes events "too early" in
-   wall order. While any reordering is live ("dirty") the driver ignores
-   raw seq numbers and breaks ties by the virtual push order, reconstructed
-   by walking each core's chain of executed-ancestor event times (the
-   chain that bottoms out in the pre-reorder clean prefix is older; two
-   chains bottoming out together compare by the clean seqs captured when
-   the reorder began). Once every pending event post-dates the reordered
-   span, pending events are renumbered in virtual push order and cheap
-   integer tie-breaking resumes. *)
-
-(* Cap on per-core ancestor-history length while dirty; beyond it new
-   extensions are blocked (basic bursts only) until the next sync, bounding
-   memory without affecting output. *)
-let hist_cap = 1 lsl 16
-
-let run_pdes ~max_cycles t (p : Pdes.t) =
-  let words_before = gc_words () in
-  let n = Array.length t.cores in
-  let perf = t.perf in
-  let cfg = t.cfg in
-  (* One static bundle per AR, computed lazily at first extension attempt. *)
-  let statics : (int, Staticcheck.Footprint.t) Hashtbl.t = Hashtbl.create 16 in
-  let static_of (ar : Isa.Program.ar) =
-    match Hashtbl.find_opt statics ar.Isa.Program.id with
-    | Some b -> b
-    | None ->
-        let b = Staticcheck.Footprint.of_ar ar in
-        Hashtbl.add statics ar.Isa.Program.id b;
-        b
-  in
-  (* Per-core pending event (time, seq); time -1 = finished. *)
-  let ev_time = Array.make n (-1) in
-  let ev_seq = Array.make n 0 in
-  let next_seq = ref 0 in
-  (* Per-core resolved footprint, cached per op (physical equality). *)
-  let fp_op : Workload.op option array = Array.make n None in
-  let fp_lines : int array option array = Array.make n None in
-  let fp_sets : int array option array = Array.make n None in
-  (* Dirty-span bookkeeping: executed-ancestor time chains. *)
-  let dirty = ref false in
-  let high_water = ref 0 in
-  let hist = Array.make n [||] in
-  let hist_len = Array.make n 0 in
-  let hist_max = ref 0 in
-  let base_seq = Array.make n 0 in
-  let remaining = ref 0 in
-  let last_time = ref 0 in
-  (* Seed from the creation-time queue (drained in exact pop order, so the
-     implied seqs are 0..k-1 in that order). *)
-  List.iter
-    (fun (time, id) ->
-      ev_time.(id) <- time;
-      ev_seq.(id) <- !next_seq;
-      incr next_seq;
-      incr remaining)
-    (Event_queue.pop_until t.queue ~time:max_int);
-  if !remaining = 0 then failwith "Engine.run: event queue drained with unfinished threads";
-  (* Virtual push order of two pending events: walk executed-ancestor times
-     backward while equal. A chain that bottoms out first is older — its
-     ancestor executed in the clean prefix, whose times never exceed any
-     dirty-span execution time, and a clean-prefix tie was already resolved
-     in its favour by the clean selection order. Both bottoming out
-     together compare by the clean seqs captured at dirty-start. *)
-  let rec push_before a b k =
-    let la = hist_len.(a) and lb = hist_len.(b) in
-    if k > la && k > lb then base_seq.(a) < base_seq.(b)
-    else if k > la then true
-    else if k > lb then false
-    else
-      let ta = hist.(a).(la - k) and tb = hist.(b).(lb - k) in
-      if ta <> tb then ta < tb else push_before a b (k + 1)
-  in
-  let before a b =
-    ev_time.(a) < ev_time.(b)
-    || (ev_time.(a) = ev_time.(b)
-       && if !dirty then push_before a b 1 else ev_seq.(a) < ev_seq.(b))
-  in
-  let hist_append id time =
-    let h = hist.(id) in
-    let len = hist_len.(id) in
-    if len = Array.length h then begin
-      let nh = Array.make (max 64 (2 * len)) 0 in
-      Array.blit h 0 nh 0 len;
-      hist.(id) <- nh
-    end;
-    hist.(id).(len) <- time;
-    hist_len.(id) <- len + 1;
-    if len + 1 > !hist_max then hist_max := len + 1
-  in
-  (* Execute core [id]'s pending event; returns its virtual time. *)
-  let exec_event id =
-    let time = ev_time.(id) in
-    t.now <- time;
-    if !dirty then begin
-      hist_append id time;
-      if time > !high_water then high_water := time
-    end;
-    perf.Simrt.Perfctr.events_popped <- perf.Simrt.Perfctr.events_popped + 1;
-    let c = t.cores.(id) in
-    let latency = step t c in
-    if c.finished then begin
-      ev_time.(id) <- -1;
-      decr remaining;
-      last_time := max !last_time time
-    end
-    else begin
-      Stats.add_busy_cycles t.stats latency;
-      ev_time.(id) <- time + max 1 latency;
-      ev_seq.(id) <- !next_seq;
-      incr next_seq
-    end;
-    time
-  in
-  let sorted_distinct arr =
-    Array.sort Int.compare arr;
-    let m = Array.length arr in
-    if m <= 1 then arr
-    else begin
-      let w = ref 1 in
-      for i = 1 to m - 1 do
-        if arr.(i) <> arr.(!w - 1) then begin
-          arr.(!w) <- arr.(i);
-          incr w
-        end
-      done;
-      Array.sub arr 0 !w
-    end
-  in
-  let disjoint a b =
-    let la = Array.length a and lb = Array.length b in
-    let i = ref 0 and j = ref 0 and ok = ref true in
-    while !ok && !i < la && !j < lb do
-      if a.(!i) = b.(!j) then ok := false
-      else if a.(!i) < b.(!j) then incr i
-      else incr j
-    done;
-    !ok
-  in
-  (* Resolved (lines, l3 sets) of [id]'s current op, or None. Exact line
-     sets resolve as before; when enumeration hits the expansion cap or an
-     indirection is bounded only by its region extent ([Cregion]), fall
-     back to the sound line-interval cover and — when it is small enough —
-     expand it into the same sorted-lines form, so cover disjointness
-     reuses the one proof below. Covers too large to expand are refused:
-     a pool-sized extent spans every L3 set, so the footprint argument
-     could never discharge it anyway (the phase-window arms handle those
-     peers instead). *)
-  let cover_expand_cap = 64 in
-  let resolve_fp b ~init =
-    let lines, capped, cls =
-      match Staticcheck.Footprint.lines_for_r b ~init with
-      | `Lines lines -> (Some lines, false, `Exact)
-      | (`Capped | `Unresolvable) as miss -> (
-          let capped = miss = `Capped in
-          match Staticcheck.Footprint.lines_cover b ~init with
-          | Some cover
-            when Array.fold_left (fun acc (lo, hi) -> acc + hi - lo + 1) 0 cover
-                 <= cover_expand_cap ->
-              let out = ref [] in
-              for si = Array.length cover - 1 downto 0 do
-                let lo, hi = cover.(si) in
-                for l = hi downto lo do
-                  out := l :: !out
-                done
-              done;
-              (Some (Array.of_list !out), capped, `Cover)
-          | Some _ | None -> (None, capped, `Unres))
-    in
-    let res =
-      match lines with
-      | None -> None
-      | Some lines ->
-          Some
-            ( lines,
-              sorted_distinct (Array.map (fun l -> Mem.Hierarchy.l3_set_of t.hierarchy l) lines)
-            )
-    in
-    ((capped, cls), res)
-  in
-  (* Register-independent regions (no [Crel] site) resolve to the same
-     footprint for every op, so the (lines, sets) pair is memoized per AR;
-     the shared arrays are safe because the consumers below only read them.
-     Counters still tick once per op-cache miss so the static_cover_*
-     census stays a per-resolution count either way. *)
-  let fp_memo :
-      (int, (bool * [ `Exact | `Cover | `Unres ]) * (int array * int array) option) Hashtbl.t =
-    Hashtbl.create 16
-  in
-  let footprint_of id =
-    let c = t.cores.(id) in
-    match c.op with
-    | None -> None
-    | Some op ->
-        (match fp_op.(id) with
-        | Some o when o == op -> ()
-        | _ ->
-            fp_op.(id) <- Some op;
-            let b = static_of op.Workload.ar in
-            let init = op.Workload.init_regs in
-            (* The resolution is init-independent when no site is
-               register-relative, when an unbounded site forces
-               [`Unresolvable] under every binding, or when a single site's
-               span guarantees both [`Capped] enumeration and an
-               unexpandable cover — exactly the pointer-chasing regions
-               whose per-op re-resolution would otherwise dominate the
-               extension path. *)
-            let init_independent =
-              (not (Staticcheck.Footprint.has_reg_relative b))
-              || (not (Staticcheck.Footprint.resolvable b))
-              || Staticcheck.Footprint.always_capped b
-                 && Staticcheck.Footprint.cover_lines_lb b > cover_expand_cap
-            in
-            let (capped, cls), res =
-              if not init_independent then resolve_fp b ~init
-              else
-                let key = op.Workload.ar.Isa.Program.id in
-                match Hashtbl.find_opt fp_memo key with
-                | Some r -> r
-                | None ->
-                    let r = resolve_fp b ~init in
-                    Hashtbl.add fp_memo key r;
-                    r
-            in
-            if capped then
-              perf.Simrt.Perfctr.static_cover_capped <-
-                perf.Simrt.Perfctr.static_cover_capped + 1;
-            (match cls with
-            | `Exact ->
-                perf.Simrt.Perfctr.static_cover_exact <-
-                  perf.Simrt.Perfctr.static_cover_exact + 1
-            | `Cover ->
-                perf.Simrt.Perfctr.static_cover_cover <-
-                  perf.Simrt.Perfctr.static_cover_cover + 1
-            | `Unres ->
-                perf.Simrt.Perfctr.static_cover_unresolved <-
-                  perf.Simrt.Perfctr.static_cover_unresolved + 1);
-            match res with
-            | None ->
-                fp_lines.(id) <- None;
-                fp_sets.(id) <- None
-            | Some (lines, sets) ->
-                fp_lines.(id) <- Some lines;
-                fp_sets.(id) <- Some sets);
-        (match (fp_lines.(id), fp_sets.(id)) with
-        | Some l, Some s -> Some (l, s)
-        | _ -> None)
-  in
-  let caches_hold core lines =
-    let l1 = Mem.Hierarchy.l1 t.hierarchy ~core and l2 = Mem.Hierarchy.l2 t.hierarchy ~core in
-    Array.exists (fun l -> Mem.Cache.mem l1 l || Mem.Cache.mem l2 l) lines
-  in
-  (* Phase-window insulation: a peer parked *between* attempts executes
-     only core-local work for a provable number of cycles, independent of
-     its footprint. Two arms (sound only under [ext_enabled]'s conditions —
-     no checker, HTM front-end, requester-wins):
-
-     - [P_next_op], closed loop, pure driver: the pending event runs the
-       finish check or [issue_op] (pure driver, own RNG, resets the attempt
-       state to [retries_counted = 0], [planned = None]) and schedules a
-       [P_start] at least one cycle later. That [P_start] either spins on
-       the held write lock — constant during a speculative leader's burst,
-       since the leader never takes or releases the fallback lock — or
-       begins a speculative attempt ([Txn.start], ERT lookup: core-local
-       under requester-wins). The first event that can touch shared state
-       (a [P_exec] memory access) is therefore at least
-       [1 + max 1 (min xbegin_cost spin_cycles)] cycles out.
-     - [P_start] below the retry budget with no planned CL mode: the same
-       argument without the leading next-op hop.
-
-     Excluded on purpose: [P_start] past the retry budget (announces and
-     may take the write lock, dooming everyone), a planned CL mode
-     ([start_cl] leads to [P_lock] whose lock acquisitions doom globally),
-     open-loop runs (the driver pops the shared request queue, and a
-     leader's in-burst commit pushes completions into it) and impure
-     drivers (labyrinth reads the store). *)
-  let spin_floor = max 1 (min cfg.Config.xbegin_cost cfg.Config.spin_cycles) in
-  let arm_next_op = t.openq = None && t.workload.Workload.pure_driver in
-  (* All slack functions return cycles, -1 for "not insulated" — the loop
-     below runs per peer per burst, so no options are allocated here. *)
-  let phase_window_slack x =
-    let c = t.cores.(x) in
-    match c.phase with
-    | P_next_op when arm_next_op -> 1 + spin_floor
-    | P_start when c.retries_counted <= cfg.Config.max_retries && c.planned = None -> spin_floor
-    | _ -> -1
-  in
-  (* Cycles (from peer [x]'s pending event) before [x] can possibly commit
-     or enter the fallback path — the two ways a footprint-disjoint peer
-     can still interact (post-commit driver work, resp. doom_all and the
-     global lock). -1 = not insulated by the footprint argument; requires
-     a resolved footprint (exact or expanded cover) on both sides. *)
-  let footprint_slack x ~llines ~lsets ~leader =
-    let c = t.cores.(x) in
-    match c.phase with
-    | P_done | P_next_op -> -1
-    | P_start when c.retries_counted > cfg.Config.max_retries -> -1
-    | P_start | P_lock | P_exec -> (
-        match footprint_of x with
-        | None -> -1
-        | Some (xlines, xsets) ->
-            if
-              (not (disjoint llines xlines))
-              || (not (disjoint lsets xsets))
-              || caches_hold leader xlines || caches_hold x llines
-            then -1
-            else begin
-              let b = static_of (current_op c).Workload.ar in
-              let mth0 = Staticcheck.Footprint.min_cycles_from_entry b in
-              let restart = cfg.Config.abort_penalty + cfg.Config.xbegin_cost + mth0 in
-              let commit_slack =
-                match c.phase with
-                | P_exec -> min (Staticcheck.Footprint.min_cycles_to_halt b ~pc:c.pc) restart
-                | _ -> 1 + mth0
-              in
-              if c.phase = P_exec && c.mode = M_fallback then commit_slack
-              else begin
-                let needed = cfg.Config.max_retries + 1 - c.retries_counted in
-                let fallback_slack =
-                  (needed * cfg.Config.abort_penalty) + ((needed - 1) * cfg.Config.xbegin_cost)
-                in
-                min fallback_slack commit_slack
-              end
-            end)
-  in
-  (* Best insulation over both arms; each is independently sound, so the
-     larger window applies. *)
-  let insulation_slack x ~lfp ~leader =
-    let pw = phase_window_slack x in
-    let fp =
-      match lfp with
-      | None -> -1
-      | Some (llines, lsets) -> footprint_slack x ~llines ~lsets ~leader
-    in
-    max pw fp
-  in
-  (* The leader may execute its next event ahead of a time-tied or earlier
-     peer event only if it stays core-local: still mid-speculation, and any
-     memory access lands on a line no other core has in its read or write
-     set (requester-wins would otherwise doom them out of order). *)
-  let ext_step_safe id =
-    let c = t.cores.(id) in
-    c.phase = P_exec && c.mode = M_spec
-    && (match c.pending_abort with
-       | Some _ -> true (* abort processing is core-local *)
-       | None -> (
-           match c.op with
-           | None -> false
-           | Some op ->
-               let body = op.Workload.ar.Isa.Program.body in
-               c.pc >= 0
-               && c.pc < Array.length body
-               && (match body.(c.pc) with
-                  | I.Ld { base; off; _ } | I.St { base; off; _ } ->
-                      let addr = Regfile.operand c.regs base + off in
-                      addr >= 0
-                      && Conflict_map.writers_excl t.conflicts ~core:c.id (Mem.Addr.line_of addr)
-                         lor Conflict_map.readers_excl t.conflicts ~core:c.id (Mem.Addr.line_of addr)
-                         = 0
-                  | _ -> true)))
-  in
-  let ext_enabled =
-    t.trace = None && t.check = None
-    && cfg.Config.frontend = Config.Htm
-    && cfg.Config.policy = Config.Requester_wins
-  in
-  (* Earliest virtual time at which any peer could interact with the
-     leader's burst; the leader may execute events strictly before it. The
-     leader's own footprint is needed only by the footprint arm — the
-     phase-window arms insulate peers even when the leader's lines are
-     unresolvable (pointer-chasing regions). *)
-  let extension_bound id =
-    let lfp = footprint_of id in
-    let bound = ref max_int in
-    for x = 0 to n - 1 do
-      if x <> id && ev_time.(x) >= 0 && ev_time.(x) < !bound then begin
-        let slack = insulation_slack x ~lfp ~leader:id in
-        if slack < 0 then bound := ev_time.(x)
-        else bound := min !bound (ev_time.(x) + slack)
-      end
-    done;
-    !bound
-  in
-  while !remaining > 0 do
-    (* Merged selection: globally earliest pending event in virtual order. *)
-    let leader = ref (-1) in
-    for x = 0 to n - 1 do
-      if ev_time.(x) >= 0 && (!leader < 0 || before x !leader) then leader := x
-    done;
-    let id = !leader in
-    if ev_time.(id) > max_cycles then livelock_fail t;
-    perf.Simrt.Perfctr.pdes_windows <- perf.Simrt.Perfctr.pdes_windows + 1;
-    let tied = ref false in
-    for x = 0 to n - 1 do
-      if x <> id && ev_time.(x) = ev_time.(id) then tied := true
-    done;
-    if !tied then perf.Simrt.Perfctr.pdes_merge_events <- perf.Simrt.Perfctr.pdes_merge_events + 1;
-    let t0 = exec_event id in
-    let cap = if p.Pdes.window = max_int then max_int else t0 + p.Pdes.window in
-    let last = ref t0 in
-    (* Basic burst: strictly earliest == sequential order. *)
-    let basic_bound = ref max_int in
-    for x = 0 to n - 1 do
-      if x <> id && ev_time.(x) >= 0 && ev_time.(x) < !basic_bound then basic_bound := ev_time.(x)
-    done;
-    let bb = min !basic_bound cap in
-    while ev_time.(id) >= 0 && ev_time.(id) < bb && ev_time.(id) <= max_cycles do
-      last := exec_event id
-    done;
-    (* Extended burst: overtake insulated peers. *)
-    if
-      ext_enabled && !hist_max < hist_cap
-      && ev_time.(id) >= 0
-      && ev_time.(id) >= !basic_bound
-      && ev_time.(id) < cap
-      && ev_time.(id) <= max_cycles
-      &&
-      let c = t.cores.(id) in
-      c.phase = P_exec && c.mode = M_spec
-    then begin
-      let eb = min (extension_bound id) cap in
-      if eb <= ev_time.(id) then
-        perf.Simrt.Perfctr.pdes_window_stalls <- perf.Simrt.Perfctr.pdes_window_stalls + 1
-      else begin
-            let stopped = ref false in
-            while
-              (not !stopped)
-              && ev_time.(id) >= 0
-              && ev_time.(id) < eb
-              && ev_time.(id) <= max_cycles
-            do
-              if ext_step_safe id then begin
-                if not !dirty then begin
-                  dirty := true;
-                  high_water := 0;
-                  hist_max := 0;
-                  for x = 0 to n - 1 do
-                    hist_len.(x) <- 0;
-                    base_seq.(x) <- ev_seq.(x)
-                  done
-                end;
-                last := exec_event id;
-                perf.Simrt.Perfctr.pdes_ext_events <- perf.Simrt.Perfctr.pdes_ext_events + 1
-              end
-              else begin
-                stopped := true;
-                perf.Simrt.Perfctr.pdes_window_stalls <- perf.Simrt.Perfctr.pdes_window_stalls + 1
-              end
-            done
-          end
-    end;
-    let lookahead = !last - t0 in
-    perf.Simrt.Perfctr.pdes_lookahead_total <- perf.Simrt.Perfctr.pdes_lookahead_total + lookahead;
-    if lookahead > perf.Simrt.Perfctr.pdes_lookahead_max then
-      perf.Simrt.Perfctr.pdes_lookahead_max <- lookahead;
-    (* Sync: once every pending event post-dates the reordered span,
-       renumber pendings in virtual push order and drop the chains. *)
-    if !dirty && !remaining > 0 then begin
-      let minp = ref max_int in
-      for x = 0 to n - 1 do
-        if ev_time.(x) >= 0 && ev_time.(x) < !minp then minp := ev_time.(x)
-      done;
-      if !minp > !high_water then begin
-        let pending = ref [] in
-        for x = n - 1 downto 0 do
-          if ev_time.(x) >= 0 then pending := x :: !pending
-        done;
-        let ordered = List.sort (fun a b -> if push_before a b 1 then -1 else 1) !pending in
-        List.iter
-          (fun x ->
-            ev_seq.(x) <- !next_seq;
-            incr next_seq)
-          ordered;
-        for x = 0 to n - 1 do
-          hist_len.(x) <- 0;
-          base_seq.(x) <- ev_seq.(x)
-        done;
-        hist_max := 0;
-        dirty := false;
-        high_water := 0
-      end
-    end
-  done;
-  Stats.set_total_cycles t.stats !last_time;
-  t.perf.sims <- t.perf.sims + 1;
-  t.perf.allocated_words <- t.perf.allocated_words + int_of_float (gc_words () -. words_before);
-  sync_open_perf t;
-  sync_check_perf t;
-  t.stats
-
-let run ?(max_cycles = 4_000_000_000) ?pdes t =
-  match pdes with None -> run_sequential ~max_cycles t | Some p -> run_pdes ~max_cycles t p
-
-let run_workload ?pdes cfg workload = run ?pdes (create cfg workload)
+let run_workload cfg workload = run (create cfg workload)

@@ -54,10 +54,6 @@ let directory t = t.directory
 
 let l1 t ~core = t.l1s.(core)
 
-let l2 t ~core = t.l2s.(core)
-
-let l3_set_of t line = line land (Cache.sets t.l3 - 1)
-
 let lock_holder t line = Directory.lock_holder t.directory line
 
 let numa t = t.numa

@@ -24,7 +24,7 @@ type t = {
   check_retired : int;  (** checker entries retired behind the frontier *)
 }
 
-let run_point ?pdes ?(check = false) ?(stream = false) (cfg : Config.t)
+let run_point ?(check = false) ?(stream = false) (cfg : Config.t)
     (workload : Machine.Workload.t) =
   let q =
     match cfg.Config.openloop with
@@ -51,7 +51,7 @@ let run_point ?pdes ?(check = false) ?(stream = false) (cfg : Config.t)
         if check then Some (Check.Collector.create ~cores:cfg.Config.cores) else None
   in
   let engine = Machine.Engine.create ?check:collector cfg workload in
-  let stats = Machine.Engine.run ?pdes engine in
+  let stats = Machine.Engine.run engine in
   let oracle_ok =
     match (streamer, collector) with
     | _, None -> true

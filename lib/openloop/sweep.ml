@@ -13,7 +13,6 @@ type options = {
   jobs : int;
   check : bool;
   stream : bool;
-  pdes : Machine.Pdes.t option;
 }
 
 (* Defaults shared by the CLI and the smoke harness. Retries 1 makes the
@@ -42,7 +41,6 @@ let default_options =
     jobs = 1;
     check = false;
     stream = false;
-    pdes = None;
   }
 
 let run (o : options) =
@@ -71,7 +69,7 @@ let run (o : options) =
   (* Order-preserving map: results line up with the (config, load) grid, so
      the emitted curve is identical at any job count. *)
   Simrt.Pool.parallel_map ~jobs:o.jobs
-    (fun (cfg, check) -> Driver.run_point ?pdes:o.pdes ~check ~stream:o.stream cfg workload)
+    (fun (cfg, check) -> Driver.run_point ~check ~stream:o.stream cfg workload)
     tasks
 
 let to_json (o : options) results =

@@ -19,7 +19,6 @@ type options = {
   jobs : int;
   check : bool;  (** oracle-check each config's lowest load point *)
   stream : bool;  (** run those checks online ({!Check.Stream}) *)
-  pdes : Machine.Pdes.t option;
 }
 
 val default_options : options

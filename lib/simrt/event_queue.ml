@@ -101,16 +101,3 @@ let pop t =
     pays.(!i) <- lp
   end;
   top
-
-let pop_until t ~time:horizon =
-  (* One [pop] per drained event, but no per-event [min_time] round-trips:
-     the windowed PDES driver calls this once per window instead of peeking
-     before every pop. *)
-  let rec drain acc =
-    if t.size = 0 || t.time.(0) > horizon then List.rev acc
-    else
-      let time = t.time.(0) in
-      let payload = pop t in
-      drain ((time, payload) :: acc)
-  in
-  drain []

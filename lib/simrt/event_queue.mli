@@ -27,11 +27,4 @@ val pop : t -> int
 (** Remove the earliest event and return its payload; read its time with
     {!min_time} first. Raises [Invalid_argument] when the queue is empty. *)
 
-val pop_until : t -> time:int -> (int * int) list
-(** [pop_until q ~time] removes and returns every (time, payload) event
-    scheduled at or before [time], in exactly the order repeated {!pop}
-    calls would yield ((time, insertion) order). Batched drain for windowed
-    consumers: the horizon is tested against the heap root, so events beyond
-    it pay no heap operation at all. *)
-
 val clear : t -> unit

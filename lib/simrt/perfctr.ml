@@ -8,16 +8,6 @@ type t = {
   mutable aborts : int;
   mutable commits : int;
   mutable allocated_words : int;
-  mutable pdes_windows : int;
-  mutable pdes_window_stalls : int;
-  mutable pdes_merge_events : int;
-  mutable pdes_ext_events : int;
-  mutable pdes_lookahead_total : int;
-  mutable pdes_lookahead_max : int;
-  mutable static_cover_exact : int;
-  mutable static_cover_cover : int;
-  mutable static_cover_capped : int;
-  mutable static_cover_unresolved : int;
   mutable open_arrivals : int;
   mutable open_dropped : int;
   mutable open_completed : int;
@@ -37,16 +27,6 @@ let create () =
     aborts = 0;
     commits = 0;
     allocated_words = 0;
-    pdes_windows = 0;
-    pdes_window_stalls = 0;
-    pdes_merge_events = 0;
-    pdes_ext_events = 0;
-    pdes_lookahead_total = 0;
-    pdes_lookahead_max = 0;
-    static_cover_exact = 0;
-    static_cover_cover = 0;
-    static_cover_capped = 0;
-    static_cover_unresolved = 0;
     open_arrivals = 0;
     open_dropped = 0;
     open_completed = 0;
@@ -65,16 +45,6 @@ let reset t =
   t.aborts <- 0;
   t.commits <- 0;
   t.allocated_words <- 0;
-  t.pdes_windows <- 0;
-  t.pdes_window_stalls <- 0;
-  t.pdes_merge_events <- 0;
-  t.pdes_ext_events <- 0;
-  t.pdes_lookahead_total <- 0;
-  t.pdes_lookahead_max <- 0;
-  t.static_cover_exact <- 0;
-  t.static_cover_cover <- 0;
-  t.static_cover_capped <- 0;
-  t.static_cover_unresolved <- 0;
   t.open_arrivals <- 0;
   t.open_dropped <- 0;
   t.open_completed <- 0;
@@ -92,26 +62,12 @@ let merge_into ~dst src =
   dst.aborts <- dst.aborts + src.aborts;
   dst.commits <- dst.commits + src.commits;
   dst.allocated_words <- dst.allocated_words + src.allocated_words;
-  dst.pdes_windows <- dst.pdes_windows + src.pdes_windows;
-  dst.pdes_window_stalls <- dst.pdes_window_stalls + src.pdes_window_stalls;
-  dst.pdes_merge_events <- dst.pdes_merge_events + src.pdes_merge_events;
-  dst.pdes_ext_events <- dst.pdes_ext_events + src.pdes_ext_events;
-  dst.pdes_lookahead_total <- dst.pdes_lookahead_total + src.pdes_lookahead_total;
-  dst.pdes_lookahead_max <- max dst.pdes_lookahead_max src.pdes_lookahead_max;
-  dst.static_cover_exact <- dst.static_cover_exact + src.static_cover_exact;
-  dst.static_cover_cover <- dst.static_cover_cover + src.static_cover_cover;
-  dst.static_cover_capped <- dst.static_cover_capped + src.static_cover_capped;
-  dst.static_cover_unresolved <- dst.static_cover_unresolved + src.static_cover_unresolved;
   dst.open_arrivals <- dst.open_arrivals + src.open_arrivals;
   dst.open_dropped <- dst.open_dropped + src.open_dropped;
   dst.open_completed <- dst.open_completed + src.open_completed;
   dst.open_qdepth_hw <- max dst.open_qdepth_hw src.open_qdepth_hw;
   dst.check_live_lines <- max dst.check_live_lines src.check_live_lines;
   dst.check_retired <- dst.check_retired + src.check_retired
-
-let mean_lookahead t =
-  if t.pdes_windows = 0 then 0.
-  else float_of_int t.pdes_lookahead_total /. float_of_int t.pdes_windows
 
 let to_list t =
   [
@@ -124,16 +80,6 @@ let to_list t =
     ("aborts", t.aborts);
     ("commits", t.commits);
     ("allocated_words", t.allocated_words);
-    ("pdes_windows", t.pdes_windows);
-    ("pdes_window_stalls", t.pdes_window_stalls);
-    ("pdes_merge_events", t.pdes_merge_events);
-    ("pdes_ext_events", t.pdes_ext_events);
-    ("pdes_lookahead_total", t.pdes_lookahead_total);
-    ("pdes_lookahead_max", t.pdes_lookahead_max);
-    ("static_cover_exact", t.static_cover_exact);
-    ("static_cover_cover", t.static_cover_cover);
-    ("static_cover_capped", t.static_cover_capped);
-    ("static_cover_unresolved", t.static_cover_unresolved);
     ("open_arrivals", t.open_arrivals);
     ("open_dropped", t.open_dropped);
     ("open_completed", t.open_completed);

@@ -46,7 +46,6 @@ let make ?(slots = 48) ?(theta = zipf_theta_default) () =
     memory_words = Layout.used_words layout;
     setup;
     make_driver;
-    pure_driver = true;
   }
 
 let workload = make ()

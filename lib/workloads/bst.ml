@@ -166,7 +166,6 @@ let make ?(initial = 96) ?(key_range = 1024) ?(pool_per_thread = 512) () =
     memory_words = Layout.used_words layout;
     setup;
     make_driver;
-    pure_driver = true;
   }
 
 let workload = make ()

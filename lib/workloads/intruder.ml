@@ -84,7 +84,6 @@ let make ?(ring_capacity = 32) ?(flows = 24) () =
     memory_words = Layout.used_words layout;
     setup;
     make_driver;
-    pure_driver = true;
   }
 
 let workload = make ()

@@ -131,7 +131,6 @@ let make ?(grid = 24) ?(path_len = 18) () =
     memory_words = Layout.used_words layout;
     setup;
     make_driver;
-    pure_driver = false;
   }
 
 let workload = make ()

@@ -72,7 +72,6 @@ let make ?(pool_per_thread = 512) () =
     memory_words = Layout.used_words layout;
     setup;
     make_driver;
-    pure_driver = true;
   }
 
 let workload = make ()

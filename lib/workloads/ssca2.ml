@@ -49,7 +49,6 @@ let make ?(nodes = 96) ?(slots_per_node = 16) () =
     memory_words = Layout.used_words layout;
     setup;
     make_driver;
-    pure_driver = true;
   }
 
 let workload = make ()

@@ -36,7 +36,6 @@ let counter_workload ~delta =
       memory_words = 128;
       setup = (fun store _ -> Store.write store counter_addr 0);
       make_driver = (fun ~tid:_ ~threads:_ _ _ () -> Workload.op ar [ (0, counter_addr); (1, delta) ]);
-      pure_driver = true;
     },
     counter_addr )
 
@@ -420,7 +419,6 @@ let test_sle_window_bound () =
       memory_words = 128;
       setup = (fun store _ -> Store.write store 64 0);
       make_driver = (fun ~tid:_ ~threads:_ _ _ () -> Workload.op big_ar []);
-      pure_driver = true;
     }
   in
   let cfg = { (sle (tiny Config.baseline)) with Config.rob_entries = 16; cores = 4; ops_per_thread = 20 } in
@@ -453,7 +451,6 @@ let test_sle_per_lock_independence () =
           Store.write store 128 0);
       make_driver =
         (fun ~tid ~threads:_ _ _ () -> Workload.op ~lock_id:tid ar [ (0, 64 + (tid * 64)) ]);
-      pure_driver = true;
     }
   in
   let cfg = { (sle (tiny Config.baseline)) with Config.cores = 2; ops_per_thread = 40; max_retries = 0 } in

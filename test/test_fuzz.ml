@@ -91,7 +91,6 @@ let gen_workload ~seed ~ar_count =
           List.init 4 (fun r -> (r, window_base + Simrt.Rng.int rng window_words))
         in
         Workload.op ar inits);
-      pure_driver = true;
     }
 
 let cfgs =
@@ -232,7 +231,6 @@ let counter_workload =
     memory_words = 128;
     setup = (fun store _ -> Store.write store 0 0);
     make_driver = (fun ~tid:_ ~threads:_ _ _ () -> Workload.op ar []);
-    pure_driver = true;
   }
 
 let test_numa_blind_fault_caught () =

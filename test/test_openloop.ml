@@ -1,6 +1,6 @@
 (* Tests for the open-system traffic harness: exact percentile reporting,
    pooled witness capture, request-lifecycle conservation, saturation
-   drops, jobs/PDES determinism and the suite-cache bypass. *)
+   drops, jobs determinism and the suite-cache bypass. *)
 
 module Config = Machine.Config
 module Percentile = Report.Percentile
@@ -296,7 +296,7 @@ let test_openq_burst_pinned () =
   Alcotest.(check bool) "strictly increasing" true !ok
 
 (* ------------------------------------------------------------------ *)
-(* Determinism: job count and PDES must not change a byte of the sweep *)
+(* Determinism: the job count must not change a byte of the sweep *)
 
 let tiny_sweep jobs =
   {
@@ -322,19 +322,6 @@ let test_sweep_repeat_identical () =
   let j1 = Report.Json.to_string (Sweep.to_json o (Sweep.run o)) in
   let j2 = Report.Json.to_string (Sweep.to_json o (Sweep.run o)) in
   Alcotest.(check string) "same seed, same bytes" j1 j2
-
-let test_open_pdes_identical () =
-  let cfg = open_cfg Config.clear_rw in
-  let w = Lazy.force open_workload in
-  let seq = Driver.run_point cfg w in
-  List.iter
-    (fun pdes ->
-      let par = Driver.run_point ~pdes cfg w in
-      Alcotest.(check string)
-        ("pdes " ^ Machine.Pdes.describe pdes ^ " point equals sequential")
-        (Report.Json.to_string (Driver.to_json seq))
-        (Report.Json.to_string (Driver.to_json par)))
-    [ Machine.Pdes.unbounded; Machine.Pdes.windowed 64 ]
 
 (* ------------------------------------------------------------------ *)
 (* Suite cache: open-system runs bypass it in both directions *)
@@ -404,7 +391,6 @@ let () =
         [
           Alcotest.test_case "jobs-invariant sweep" `Quick test_sweep_jobs_identical;
           Alcotest.test_case "repeat-invariant sweep" `Quick test_sweep_repeat_identical;
-          Alcotest.test_case "pdes-invariant point" `Quick test_open_pdes_identical;
         ] );
       ( "suite-cache",
         [ Alcotest.test_case "open runs bypass cache" `Quick test_open_cache_bypass ] );

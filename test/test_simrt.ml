@@ -174,31 +174,6 @@ let prop_queue_time_seq_sorted =
       in
       popped = expected)
 
-(* pop_until must be observationally equal to repeated pop while the head
-   is at or before the horizon — same events, same order — and must leave
-   everything later untouched. *)
-let prop_queue_pop_until =
-  QCheck.Test.make ~name:"pop_until == repeated pop up to the horizon" ~count:300
-    QCheck.(pair (list (int_range 0 30)) (int_range 0 30))
-    (fun (times, horizon) ->
-      let fill () =
-        let q = Event_queue.create () in
-        List.iteri (fun i t -> Event_queue.push q ~time:t i) times;
-        q
-      in
-      let qa = fill () and qb = fill () in
-      let batch = Event_queue.pop_until qa ~time:horizon in
-      let rec drain acc =
-        if (not (Event_queue.is_empty qb)) && Event_queue.min_time qb <= horizon then begin
-          let t = Event_queue.min_time qb in
-          let p = Event_queue.pop qb in
-          drain ((t, p) :: acc)
-        end
-        else List.rev acc
-      in
-      let manual = drain [] in
-      batch = manual && drain_queue qa = drain_queue qb)
-
 (* Interleaved pushes and pops must preserve the same invariant: what pops
    next is always the earliest (time, seq) of what is currently queued. *)
 let prop_queue_interleaved =
@@ -232,8 +207,8 @@ let prop_queue_interleaved =
         script)
 
 (* Model check: the heap against a (time, seq)-sorted association list,
-   over random scripts of pushes (a narrow time range, so many ties), pops
-   and horizon drains. The payload is an arbitrary int unrelated to the
+   over random scripts of pushes (a narrow time range, so many ties) and
+   pops. The payload is an arbitrary int unrelated to the
    order, so a heap that lost track of which payload belongs to which key
    would show. *)
 let prop_queue_model =
@@ -243,13 +218,11 @@ let prop_queue_model =
         [
           (5, map2 (fun t p -> `Push (t, p)) (int_range 0 12) (int_range (-50) 50));
           (3, return `Pop);
-          (1, map (fun h -> `Until h) (int_range 0 12));
         ])
   in
   let print = function
     | `Push (t, p) -> Printf.sprintf "push %d %d" t p
     | `Pop -> "pop"
-    | `Until h -> Printf.sprintf "until %d" h
   in
   QCheck.Test.make ~name:"int heap == sorted (time, seq) list" ~count:300
     (QCheck.make ~print:QCheck.Print.(list print) QCheck.Gen.(list_size (int_range 0 120) op))
@@ -278,10 +251,6 @@ let prop_queue_model =
                 (not (Event_queue.is_empty q))
                 && Event_queue.min_time q = t
                 && Event_queue.pop q = p)
-        | `Until h ->
-            let due, later = List.partition (fun ((t, _), _) -> t <= h) !model in
-            model := later;
-            Event_queue.pop_until q ~time:h = List.map (fun ((t, _), p) -> (t, p)) due
       in
       List.for_all step script
       && Event_queue.length q = List.length !model
@@ -524,7 +493,6 @@ let () =
             [
               prop_queue_sorted;
               prop_queue_time_seq_sorted;
-              prop_queue_pop_until;
               prop_queue_interleaved;
               prop_queue_model;
             ] );
