@@ -6,6 +6,7 @@
      dune exec bench/main.exe fig8             -- one artefact
      dune exec bench/main.exe -- --paper all   -- paper-sized sweep (slow)
      dune exec bench/main.exe -- --jobs 8 fig8 -- sweep on 8 domains
+     dune exec bench/main.exe -- gate all      -- the @ci bench gates (Ci_gate)
 
    The suite runs on a pool of OCaml domains (--jobs N, default: host cores
    minus one) and is memoised on disk under _cache/ as one shard per
@@ -15,14 +16,15 @@
    shares shards across runs again. --no-cache bypasses the disk cache
    (it neither reads nor writes); --check validates every simulation with
    the execution oracle (and implies --no-cache, since a cache hit would
-   skip validation); --smoke selects a tiny fixed suite used by
-   bench/perf_smoke.sh and bench/check_smoke.sh; --only W1,W2 restricts the
-   sweep to the named workloads (bench/paper_smoke.sh); --sched NAME runs
-   the sweep under a schedule scenario (see `clear_sim sched`).
+   skip validation); --only W1,W2 restricts the sweep to the named
+   workloads; --sched NAME runs the sweep under a schedule scenario (see
+   `clear_sim sched`).
 
-   --perf runs a small fixed sweep sequentially and dumps the engine's
-   hot-path performance counters (Simrt.Perfctr), both as a table and as
-   machine-readable "perfctr NAME VALUE" lines for bench/perf_smoke.sh.
+   --perf runs a small fixed sweep sequentially and prints the engine's
+   hot-path performance counters (Simrt.Perfctr) as a table.
+
+   `gate NAME...` runs the named bench gates and writes their
+   BENCH_<name>.json records (bench/ci_gate.mli).
 
    Artefacts: table1 table2 fig1 fig8 fig9 fig10 fig11 fig12 fig13 headline
    ablation micro all *)
@@ -45,18 +47,6 @@ let quick_suite_options =
     sched = Sched.Profile.symmetric;
   }
 
-(* Tiny fixed suite for perf smoke-testing: seconds, not minutes, even on one
-   core, yet still the full 4-config x 19-benchmark cross product. *)
-let smoke_suite_options =
-  {
-    Experiments.cores = 4;
-    ops_per_thread = 40;
-    seeds = [ 3; 5 ];
-    trim = 0;
-    retry_choices = [ 2; 5 ];
-    sched = Sched.Profile.symmetric;
-  }
-
 let progress label = Printf.eprintf "[bench] %s\n%!" label
 
 let jobs = ref (Simrt.Pool.default_jobs ())
@@ -72,10 +62,9 @@ let perf = ref false
    the config digest), so they never collide with symmetric results. *)
 let sched_profile = ref Sched.Profile.symmetric
 
-(* --only W1,W2: restrict the suite sweep to the named workloads. This is
-   how bench/paper_smoke.sh keeps a paper-sized (--paper) timing run
-   affordable on a small host; figures derived from a restricted suite only
-   contain the selected rows. *)
+(* --only W1,W2: restrict the suite sweep to the named workloads, which keeps
+   a paper-sized (--paper) run affordable on a small host; figures derived
+   from a restricted suite only contain the selected rows. *)
 let only_workloads : Machine.Workload.t list option ref = ref None
 
 (* The suite is computed once per process and reused by every figure
@@ -277,25 +266,9 @@ let run_bechamel () =
     tests;
   emit "micro" t
 
-(* Hot-path counter dump: a small fixed sweep, run sequentially in-process so
-   the counters aggregate in one place (domains would each own a private
-   engine and the numbers would need plumbing back). *)
+(* Hot-path counter dump over a small fixed sweep. *)
 let run_perf opts =
-  let total = Simrt.Perfctr.create () in
   let ws = match !only_workloads with Some l -> l | None -> ablation_workloads () in
-  List.iter
-    (fun (w : Machine.Workload.t) ->
-      List.iter
-        (fun letter ->
-          let cfg = Experiments.config_of_letter opts letter in
-          List.iter
-            (fun seed ->
-              let eng = Machine.Engine.create (Config.with_seed cfg seed) w in
-              ignore (Machine.Engine.run eng : Stats.t);
-              Simrt.Perfctr.merge_into ~dst:total (Machine.Engine.perfctr eng))
-            opts.Experiments.seeds)
-        [ "B"; "P"; "C"; "W" ])
-    ws;
   let t =
     Table.create
       ~title:
@@ -303,9 +276,10 @@ let run_perf opts =
            (List.length ws))
       ~columns:[ "Counter"; "Total" ]
   in
-  List.iter (fun (n, v) -> Table.add_row t [ n; string_of_int v ]) (Simrt.Perfctr.to_list total);
-  emit "perf" t;
-  List.iter (fun (n, v) -> Printf.printf "perfctr %s %d\n" n v) (Simrt.Perfctr.to_list total)
+  List.iter
+    (fun (n, v) -> Table.add_row t [ n; string_of_int v ])
+    (Simrt.Perfctr.to_list (Experiments.perf_counters opts ws));
+  emit "perf" t
 
 let artefacts opts =
   [
@@ -323,31 +297,13 @@ let artefacts opts =
     ("headline", fun () -> emit "headline" (Experiments.headline (get_suite opts)));
     ("ablation", fun () -> emit "ablation" (ablation opts));
     ("sle", fun () -> emit "sle" (sle_comparison opts));
-    ("storage", fun () ->
-        let t =
-          Table.create ~title:"Storage overhead per core (paper S5: 988.5 bytes)"
-            ~columns:[ "Structure"; "Paper"; "Computed" ]
-        in
-        let b = Clear.Storage.paper in
-        Table.add_row t [ "indirection bits (180 pregs)"; "22.5 B"; Printf.sprintf "%.1f B" b.Clear.Storage.indirection_bytes ];
-        Table.add_row t [ "ERT (16 entries)"; "146 B"; Printf.sprintf "%.1f B" b.Clear.Storage.ert_bytes ];
-        Table.add_row t [ "ALT (32 entries)"; "276 B"; Printf.sprintf "%.1f B" b.Clear.Storage.alt_bytes ];
-        Table.add_row t [ "CRT (64 entries)"; "544 B"; Printf.sprintf "%.1f B" b.Clear.Storage.crt_bytes ];
-        Table.add_separator t;
-        Table.add_row t [ "total"; "988.5 B"; Printf.sprintf "%.1f B" b.Clear.Storage.total_bytes ];
-        emit "storage" t);
+    ("storage", fun () -> emit "storage" (Experiments.storage ()));
     ("micro", fun () -> run_bechamel ());
   ]
 
-let () =
-  let args = Array.to_list Sys.argv |> List.tl in
+let main args =
   let paper = List.mem "--paper" args in
-  let smoke = List.mem "--smoke" args in
-  let opts =
-    if smoke then smoke_suite_options
-    else if paper then Experiments.default_options
-    else quick_suite_options
-  in
+  let opts = if paper then Experiments.default_options else quick_suite_options in
   let rec strip_flags acc = function
     | "--csv" :: dir :: rest ->
         csv_dir := Some dir;
@@ -400,7 +356,7 @@ let () =
     progress
       (Printf.sprintf "schedule scenario: %s (%s)" !sched_profile.Sched.Profile.name
          !sched_profile.Sched.Profile.description);
-  let wanted = List.filter (fun a -> a <> "--paper" && a <> "--smoke") args in
+  let wanted = List.filter (fun a -> a <> "--paper") args in
   let wanted =
     if wanted = [] && !perf then [] (* --perf alone: just the counter dump *)
     else if wanted = [] || List.mem "all" wanted then List.map fst (artefacts opts)
@@ -419,3 +375,8 @@ let () =
           exit 2)
     wanted;
   if !perf then run_perf opts
+
+let () =
+  match Array.to_list Sys.argv |> List.tl with
+  | "gate" :: names -> Ci_gate.main names
+  | args -> main args

@@ -59,6 +59,15 @@ let trace_out_arg =
            ~doc:"Write the run's lifecycle events to FILE in Chrome trace_event JSON \
                  (open in chrome://tracing or Perfetto).")
 
+let json_arg = Arg.(value & flag & info [ "json" ] ~doc:"Machine-readable JSON output.")
+
+let stream_arg =
+  Arg.(value & flag
+       & info [ "stream" ]
+           ~doc:"Run the execution oracles online (incremental checker with bounded memory, \
+                 DESIGN.md §14) instead of post hoc; identical verdicts, O(live lines) peak \
+                 checker state.")
+
 let frontend_arg =
   Arg.(value & opt frontend_conv Machine.Config.Htm
        & info [ "frontend" ] ~doc:"Speculation front-end: htm (transactions) or sle (lock elision).")
@@ -83,6 +92,8 @@ let usage_error fmt =
 let config_of ?(frontend = Machine.Config.Htm) letter ~cores ~ops ~seed ~retries =
   if cores < 1 || cores > Mem.Directory.max_cores then
     usage_error "--cores must be in [1, %d] (got %d)" Mem.Directory.max_cores cores;
+  if ops < 1 then usage_error "--ops must be positive (got %d)" ops;
+  if retries < 0 then usage_error "--retries must be non-negative (got %d)" retries;
   let base =
     match letter with
     | "B" -> Machine.Config.baseline
@@ -247,12 +258,6 @@ let suite_cmd =
                    sequential replay, lock safety, static soundness gate). Implies bypassing \
                    the suite cache.")
   in
-  let stream_arg =
-    Arg.(value & flag
-         & info [ "stream" ]
-             ~doc:"Run the --check oracles online (incremental checker with bounded memory, \
-                   DESIGN.md §14); identical verdicts, O(live lines) peak checker state.")
-  in
   let no_cache_arg =
     Arg.(value & flag
          & info [ "no-cache" ] ~doc:"Neither read nor write the on-disk per-simulation shards.")
@@ -269,167 +274,36 @@ let suite_cmd =
 (* ------------------------------------------------------------------ *)
 (* sched: scenario sweep against the symmetric baseline                *)
 
-(* One scenario materially shifts the retry economics when its one-retry or
-   fallback share moves by at least this much (absolute) versus the symmetric
-   baseline under the same configuration. *)
-let material_delta = 0.05
-
 let sched_cmd =
-  let module S = Machine.Stats in
-  let module J = Report.Json in
-  let mean = Simrt.Summary.mean in
+  let module Sweep = Clear_repro.Sched_sweep in
   let run json check fingerprint jobs workload cores ops retries =
     let w = find_workload workload in
-    let seeds = [ 3; 5; 7 ] in
-    let tasks =
-      List.concat_map
-        (fun (sname, prof) ->
-          List.concat_map
-            (fun letter ->
-              let cfg = config_of letter ~cores ~ops ~seed:0 ~retries in
-              let cfg = Machine.Config.with_sched cfg prof in
-              List.map
-                (fun seed -> ((sname, letter, seed), { Clear_repro.Run.cfg; workload = w; seed }))
-                seeds)
-            Clear_repro.Experiments.letters)
-        Sched.Scenarios.all
-    in
-    let stats_list =
-      try Simrt.Pool.parallel_map ~jobs (Clear_repro.Run.runner ~check) (List.map snd tasks)
+    let config letter = config_of letter ~cores ~ops ~seed:0 ~retries in
+    let sweep =
+      try Sweep.run ~jobs ~check ~config w
       with Clear_repro.Run.Check_failed msg ->
         Printf.eprintf "[sched] oracle violation:\n%s\n%!" msg;
         exit 1
     in
-    let results = List.map2 (fun (key, _) st -> (key, st)) tasks stats_list in
     if fingerprint then
       (* OCaml-syntax golden rows for test/test_sched.ml regeneration. *)
       List.iter
         (fun ((sname, letter, seed), st) ->
+          let module S = Machine.Stats in
           Printf.printf "    (%S, %S, %d, (%d, %d, %d, %d, %d));\n" sname letter seed
             (S.total_cycles st) (S.commits st) (S.aborts st) (S.instrs st) (S.wasted_instrs st))
-        results
+        (Sweep.runs sweep)
+    else if json then print_endline (Report.Json.to_string_pretty (Sweep.to_json sweep))
     else begin
-      (* Aggregate seeds per (scenario, config). *)
-      let agg (sname, letter) =
-        let runs =
-          List.filter_map
-            (fun ((s, l, _), st) -> if s = sname && l = letter then Some st else None)
-            results
-        in
-        let over f = mean (List.map f runs) in
-        let one = over (fun st -> let a, _, _ = S.retry_breakdown st in a) in
-        let many = over (fun st -> let _, b, _ = S.retry_breakdown st in b) in
-        let fb = over (fun st -> let _, _, c = S.retry_breakdown st in c) in
-        ( over (fun st -> float_of_int (S.total_cycles st)),
-          over S.aborts_per_commit,
-          (one, many, fb),
-          over (fun st -> float_of_int (Simrt.Counter.get (S.counters st) "numa_adder_cycles")) )
-      in
-      let letters = Clear_repro.Experiments.letters in
-      let baseline = List.map (fun l -> (l, agg ("symmetric", l))) letters in
-      let scenario_rows =
-        List.map
-          (fun (sname, _) ->
-            let per_letter =
-              List.map
-                (fun l ->
-                  let ((_, _, (one, _, fb), _) as a) = agg (sname, l) in
-                  let _, _, (bone, _, bfb), _ = List.assoc l baseline in
-                  let material =
-                    sname <> "symmetric"
-                    && (Float.abs (one -. bone) >= material_delta
-                        || Float.abs (fb -. bfb) >= material_delta)
-                  in
-                  (l, a, material))
-                letters
-            in
-            (sname, per_letter))
-          Sched.Scenarios.all
-      in
-      let materially_different =
-        List.length
-          (List.filter
-             (fun (sname, per) -> sname <> "symmetric" && List.exists (fun (_, _, m) -> m) per)
-             scenario_rows)
-      in
-      if json then
-        print_endline
-          (J.to_string_pretty
-             (J.Obj
-                [
-                  ("workload", J.Str w.Machine.Workload.name);
-                  ("cores", J.Int cores);
-                  ("ops_per_thread", J.Int ops);
-                  ("seeds", J.List (List.map (fun s -> J.Int s) seeds));
-                  ("checked", J.Bool check);
-                  ("material_delta", J.Float material_delta);
-                  ("materially_different", J.Int materially_different);
-                  ( "scenarios",
-                    J.List
-                      (List.map
-                         (fun (sname, per) ->
-                           J.Obj
-                             [
-                               ("name", J.Str sname);
-                               ( "configs",
-                                 J.List
-                                   (List.map
-                                      (fun (l, (cycles, apc, (one, many, fb), numa), material) ->
-                                        J.Obj
-                                          [
-                                            ("config", J.Str l);
-                                            ("cycles", J.Float cycles);
-                                            ("aborts_per_commit", J.Float apc);
-                                            ("one_retry", J.Float one);
-                                            ("n_retry", J.Float many);
-                                            ("fallback", J.Float fb);
-                                            ("numa_adder_cycles", J.Float numa);
-                                            ("materially_different", J.Bool material);
-                                          ])
-                                      per) );
-                             ])
-                         scenario_rows) );
-                ]))
-      else begin
-        let t =
-          Report.Table.create
-            ~title:
-              (Printf.sprintf "Scheduler scenarios: %s, %d cores, %d ops/thread (mean of %d seeds)"
-                 w.Machine.Workload.name cores ops (List.length seeds))
-            ~columns:
-              [ "Scenario"; "Cfg"; "cycles"; "ab/commit"; "1-retry"; "n-retry"; "fallback";
-                "numa-cyc"; "shift" ]
-        in
-        List.iter
-          (fun (sname, per) ->
-            List.iter
-              (fun (l, (cycles, apc, (one, many, fb), numa), material) ->
-                Report.Table.add_row t
-                  [
-                    sname;
-                    l;
-                    Printf.sprintf "%.0f" cycles;
-                    Report.Table.f2 apc;
-                    Report.Table.pct one;
-                    Report.Table.pct many;
-                    Report.Table.pct fb;
-                    Printf.sprintf "%.0f" numa;
-                    (if material then "*" else "");
-                  ])
-              per;
-            Report.Table.add_separator t)
-          scenario_rows;
-        Report.Table.print t;
-        Printf.printf
-          "%d of %d scenarios materially shift the retry mix vs symmetric (|delta| >= %.0f%% on \
-           1-retry or fallback share)\n"
-          materially_different
-          (List.length Sched.Scenarios.all - 1)
-          (100. *. material_delta)
-      end
+      Report.Table.print (Sweep.table sweep);
+      Printf.printf
+        "%d of %d scenarios materially shift the retry mix vs symmetric (|delta| >= %.0f%% on \
+         1-retry or fallback share)\n"
+        (Sweep.materially_different sweep)
+        (List.length Sched.Scenarios.all - 1)
+        (100. *. Sweep.material_delta)
     end
   in
-  let json_arg = Arg.(value & flag & info [ "json" ] ~doc:"Machine-readable JSON output.") in
   let check_arg =
     Arg.(value & flag
          & info [ "check" ] ~doc:"Validate every scenario run with the execution oracle.")
@@ -478,17 +352,11 @@ let check_cmd =
   let all_arg =
     Arg.(value & flag & info [ "all" ] ~doc:"Check every benchmark instead of one.")
   in
-  let stream_arg =
-    Arg.(value & flag
-         & info [ "stream" ]
-             ~doc:"Run the oracles online (incremental checker with bounded memory, DESIGN.md \
-                   §14) instead of post hoc; the verdict is identical either way.")
-  in
   let fault_blind_arg =
     Arg.(value & opt (some int) None
          & info [ "fault-blind-line" ] ~docv:"LINE"
              ~doc:"Inject the conflict-blindness engine bug on $(docv) (the engine stops \
-                   detecting conflicts there). The oracles must catch it — used by the smoke \
+                   detecting conflicts there). The oracles must catch it — used by the bench \
                    gates to prove both checking paths fail loudly.")
   in
   Cmd.v
@@ -758,7 +626,6 @@ let analyze_cmd =
     Arg.(value & opt (some string) None
          & info [ "w"; "workload" ] ~doc:"Restrict the analysis to one benchmark.")
   in
-  let json_arg = Arg.(value & flag & info [ "json" ] ~doc:"Machine-readable JSON output.") in
   let conflicts_arg =
     Arg.(value & flag
          & info [ "conflicts" ]
@@ -798,7 +665,6 @@ let lint_cmd =
     end;
     if L.errors diags > 0 then exit 1
   in
-  let json_arg = Arg.(value & flag & info [ "json" ] ~doc:"Machine-readable JSON output.") in
   let demo_arg =
     Arg.(value & flag
          & info [ "broken-demo" ]
@@ -874,7 +740,6 @@ let openloop_cmd =
       exit 1
     end
   in
-  let json_arg = Arg.(value & flag & info [ "json" ] ~doc:"Machine-readable JSON output.") in
   let keys_arg =
     Arg.(value & opt int d.Sweep.keys
          & info [ "keys" ]
@@ -927,12 +792,6 @@ let openloop_cmd =
          & info [ "check" ]
              ~doc:"Validate each configuration's lowest load point with the execution oracle \
                    (exit 1 on violation).")
-  in
-  let stream_arg =
-    Arg.(value & flag
-         & info [ "stream" ]
-             ~doc:"Run the --check oracles online (incremental checker with bounded memory, \
-                   DESIGN.md §14); identical verdicts, O(live lines) peak checker state.")
   in
   Cmd.v
     (Cmd.info "openloop"

@@ -63,20 +63,28 @@ let of_stream stream ~final =
     static_ = r.Stream.static_;
   }
 
-let pp_oracle fmt name pp_err = function
-  | Ok () -> Format.fprintf fmt "@ %-16s PASS" name
-  | Error e -> Format.fprintf fmt "@ %-16s FAIL@   @[%a@]" name pp_err e
+(* Each oracle that ran, by report name, with its failure printer. *)
+let results t =
+  let r pp_err = Result.map_error (fun e fmt -> pp_err fmt e) in
+  [
+    ("serializability", r Serial.pp_violation t.serial);
+    ("replay", r Replay.pp_divergence t.replay);
+    ("lock-safety", r Lock_safety.pp_violation t.locks);
+  ]
+  @ match t.static_ with None -> [] | Some s -> [ ("static-gate", r Staticcheck.Gate.pp_violation s) ]
+
+let oracles t = List.map fst (results t)
 
 let pp fmt t =
   Format.fprintf fmt "@[<v2>check: %d committed attempt(s)%s"
     t.commits
     (if ok t then " — all oracles passed" else "");
-  pp_oracle fmt "serializability" Serial.pp_violation t.serial;
-  pp_oracle fmt "replay" Replay.pp_divergence t.replay;
-  pp_oracle fmt "lock-safety" Lock_safety.pp_violation t.locks;
-  (match t.static_ with
-  | None -> ()
-  | Some r -> pp_oracle fmt "static-gate" Staticcheck.Gate.pp_violation r);
+  List.iter
+    (fun (name, r) ->
+      match r with
+      | Ok () -> Format.fprintf fmt "@ %-16s PASS" name
+      | Error pp_err -> Format.fprintf fmt "@ %-16s FAIL@   @[%t@]" name pp_err)
+    (results t);
   Format.fprintf fmt "@]"
 
 let to_string t = Format.asprintf "%a" pp t

@@ -26,6 +26,10 @@ val of_stream : Stream.t -> final:Mem.Store.image -> t
     which violation is reported first — to {!evaluate} over an accumulating
     collector; only the peak memory differs. *)
 
+val oracles : t -> string list
+(** Report names of the oracles that ran, in report order: serializability,
+    replay, lock-safety, then static-gate when a gate was supplied. *)
+
 val pp : Format.formatter -> t -> unit
 (** Multi-line report: one PASS/FAIL line per oracle, violation details on
     failure. *)

@@ -429,3 +429,37 @@ let headline suite =
       Printf.sprintf "%+.1f%%" (100.0 *. (norm_geo "W" (fun r -> r.Run.energy) -. 1.0));
     ];
   t
+
+let storage () =
+  let t =
+    Table.create ~title:"Storage overhead per core (paper S5: 988.5 bytes)"
+      ~columns:[ "Structure"; "Paper"; "Computed" ]
+  in
+  let b = Clear.Storage.paper in
+  let row name paper bytes = Table.add_row t [ name; paper; Printf.sprintf "%.1f B" bytes ] in
+  row "indirection bits (180 pregs)" "22.5 B" b.Clear.Storage.indirection_bytes;
+  row "ERT (16 entries)" "146 B" b.Clear.Storage.ert_bytes;
+  row "ALT (32 entries)" "276 B" b.Clear.Storage.alt_bytes;
+  row "CRT (64 entries)" "544 B" b.Clear.Storage.crt_bytes;
+  Table.add_separator t;
+  row "total" "988.5 B" b.Clear.Storage.total_bytes;
+  t
+
+(* Sequential and in-process, so the counters aggregate in one place
+   (domains would each own a private engine). *)
+let perf_counters opts workloads =
+  let total = Simrt.Perfctr.create () in
+  List.iter
+    (fun (w : Machine.Workload.t) ->
+      List.iter
+        (fun letter ->
+          let cfg = config_of_letter opts letter in
+          List.iter
+            (fun seed ->
+              let eng = Machine.Engine.create (Machine.Config.with_seed cfg seed) w in
+              ignore (Machine.Engine.run eng : Machine.Stats.t);
+              Simrt.Perfctr.merge_into ~dst:total (Machine.Engine.perfctr eng))
+            opts.seeds)
+        letters)
+    workloads;
+  total

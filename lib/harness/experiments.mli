@@ -100,3 +100,10 @@ val fig13 : suite -> Report.Table.t
 
 val headline : suite -> Report.Table.t
 (** The abstract's headline numbers, paper vs. measured. *)
+
+val storage : unit -> Report.Table.t
+(** Per-core storage overhead of the CLEAR structures, paper vs computed. *)
+
+val perf_counters : options -> Machine.Workload.t list -> Simrt.Perfctr.t
+(** The engine's hot-path counters summed over every (workload, preset,
+    seed) simulation of the options, run sequentially in-process. *)

@@ -15,7 +15,7 @@ type options = {
   stream : bool;
 }
 
-(* Defaults shared by the CLI and the smoke harness. Retries 1 makes the
+(* Defaults shared by the CLI and the bench gates. Retries 1 makes the
    baseline fallback-heavy — the contrast CLEAR's single-retry bound exists
    to beat — and the key space (1 MiW of array lines = 8 MiB) is twice the
    L3, so popularity skew rather than cache residency decides hotness.

@@ -95,3 +95,84 @@ let to_string_pretty j =
   in
   go 0 j;
   Buffer.contents buf
+
+(* Recursive-descent reader: a number without '.', 'e' or 'E' reads back as
+   [Int], any other as [Float]. *)
+exception Parse_error of string
+
+let of_string s =
+  let n = String.length s and pos = ref 0 in
+  let fail what = raise (Parse_error (Printf.sprintf "offset %d: %s" !pos what)) in
+  let peek () = if !pos < n then s.[!pos] else '\000' in
+  let rec ws () = if !pos < n && String.contains " \t\r\n" s.[!pos] then (incr pos; ws ()) in
+  let eat c = ws (); if peek () <> c then fail (Printf.sprintf "expected %C" c); incr pos in
+  let word w v =
+    let l = String.length w in
+    if !pos + l <= n && String.sub s !pos l = w then (pos := !pos + l; v) else fail "bad literal"
+  in
+  let str () =
+    eat '"';
+    let b = Buffer.create 16 in
+    let rec go () =
+      if !pos >= n then fail "unterminated string";
+      let c = s.[!pos] in
+      incr pos;
+      if c = '"' then Buffer.contents b
+      else begin
+        (if c <> '\\' then Buffer.add_char b c
+         else begin
+           let e = peek () in
+           incr pos;
+           match e with
+           | 'n' -> Buffer.add_char b '\n'
+           | 'r' -> Buffer.add_char b '\r'
+           | 't' -> Buffer.add_char b '\t'
+           | 'b' -> Buffer.add_char b '\b'
+           | 'f' -> Buffer.add_char b '\012'
+           | '"' | '\\' | '/' -> Buffer.add_char b e
+           | 'u' when !pos + 4 <= n -> (
+               match int_of_string_opt ("0x" ^ String.sub s !pos 4) with
+               | Some code when code < 0x80 -> Buffer.add_char b (Char.chr code); pos := !pos + 4
+               | _ -> fail "unsupported \\u escape")
+           | _ -> fail "bad escape"
+         end);
+        go ()
+      end
+    in
+    go ()
+  in
+  let rec value () =
+    ws ();
+    match peek () with
+    | '{' -> incr pos; Obj (items '}' (fun () -> let k = str () in eat ':'; (k, value ())))
+    | '[' -> incr pos; List (items ']' value)
+    | '"' -> Str (str ())
+    | 't' -> word "true" (Bool true)
+    | 'f' -> word "false" (Bool false)
+    | 'n' -> word "null" Null
+    | _ -> (
+        let start = !pos in
+        while !pos < n && String.contains "+-.eE0123456789" s.[!pos] do incr pos done;
+        let lit = String.sub s start (!pos - start) in
+        let v =
+          if String.exists (fun c -> String.contains ".eE" c) lit then
+            Option.map (fun f -> Float f) (float_of_string_opt lit)
+          else Option.map (fun i -> Int i) (int_of_string_opt lit)
+        in
+        match v with Some v -> v | None -> fail "bad value")
+  and items : 'a. char -> (unit -> 'a) -> 'a list =
+   fun close item -> ws (); if peek () = close then (incr pos; []) else more close item
+  and more : 'a. char -> (unit -> 'a) -> 'a list =
+   fun close item ->
+    let x = item () in
+    ws ();
+    if peek () = ',' then (incr pos; x :: more close item) else (eat close; [ x ])
+  in
+  let v = value () in
+  ws ();
+  if !pos <> n then fail "trailing data";
+  v
+
+let member key = function Obj fields -> List.assoc_opt key fields | _ -> None
+
+let to_float = function Int i -> Some (float_of_int i) | Float f -> Some f | _ -> None

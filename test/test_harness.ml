@@ -312,6 +312,10 @@ let test_cli_accepts_core_bounds () =
       Alcotest.(check int) (args ^ ": exit status") 0 code)
     [ "run --cores 1 --ops 2"; "run --cores 62 --ops 1" ]
 
+let test_cli_accepts_zero_retries () =
+  let code, _ = run_cli "run --cores 2 --ops 1 --retries 0" in
+  Alcotest.(check int) "--retries 0: exit status" 0 code
+
 let () =
   Alcotest.run "harness"
     [
@@ -357,5 +361,14 @@ let () =
             "openloop --loads 0";
             "openloop --requests 0";
           ]
-        @ [ Alcotest.test_case "accepts 1 and 62 cores" `Quick test_cli_accepts_core_bounds ] );
+        @ [ Alcotest.test_case "accepts 1 and 62 cores" `Quick test_cli_accepts_core_bounds ]
+        @ List.map
+            (fun args -> Alcotest.test_case ("rejects " ^ args) `Quick (test_cli_rejects args))
+            [
+              "check -w stack -c B --ops 0";
+              "run --ops=-5";
+              "run --retries=-1";
+              "sched --ops 0";
+            ]
+        @ [ Alcotest.test_case "accepts 0 retries" `Quick test_cli_accepts_zero_retries ] );
     ]

@@ -68,6 +68,45 @@ let test_table_accessors () =
   Alcotest.(check (list string)) "header" [ "c1" ] (Table.header t);
   Alcotest.(check (list (list string))) "rows" [ [ "v" ] ] (Table.rows t)
 
+(* ------------------------------------------------------------------ *)
+(* Json reader *)
+
+module J = Report.Json
+
+let roundtrips label text =
+  Alcotest.(check string) label text (J.to_string_pretty (J.of_string text))
+
+let test_json_roundtrip () =
+  let doc =
+    J.Obj
+      [
+        ("null", J.Null);
+        ("flags", J.List [ J.Bool true; J.Bool false ]);
+        ("ints", J.List [ J.Int 0; J.Int (-42); J.Int 13728956 ]);
+        ("floats", J.List [ J.Float 1.33; J.Float 120.0; J.Float (-0.5); J.Float 1.5e-7; J.Float 2e20 ]);
+        ("text", J.Str "quote \" slash \\ tab \t nl \n ctl \001");
+        ("empty", J.Obj [ ("list", J.List []); ("obj", J.Obj []) ]);
+        ("nested", J.List [ J.Obj [ ("preset", J.Str "B"); ("p99", J.Int 98564) ] ]);
+      ]
+  in
+  roundtrips "pretty" (J.to_string_pretty doc);
+  Alcotest.(check string) "compact" (J.to_string doc) (J.to_string (J.of_string (J.to_string doc)))
+
+let test_json_errors () =
+  List.iter
+    (fun bad ->
+      match J.of_string bad with
+      | _ -> Alcotest.failf "accepted %S" bad
+      | exception J.Parse_error _ -> ())
+    [ ""; "{"; "[1,]"; "{\"a\" 1}"; "tru"; "\"open"; "1 2"; "{\"a\": 1,}" ]
+
+let test_json_accessors () =
+  let j = J.of_string {|{"a": 1, "b": 2.5, "c": "x"}|} in
+  Alcotest.(check (option (float 0.))) "int" (Some 1.) (Option.bind (J.member "a" j) J.to_float);
+  Alcotest.(check (option (float 0.))) "float" (Some 2.5) (Option.bind (J.member "b" j) J.to_float);
+  Alcotest.(check (option (float 0.))) "string" None (Option.bind (J.member "c" j) J.to_float);
+  Alcotest.(check bool) "missing" true (J.member "d" j = None)
+
 let () =
   Alcotest.run "report"
     [
@@ -84,5 +123,11 @@ let () =
           Alcotest.test_case "escape" `Quick test_csv_escape;
           Alcotest.test_case "of_table" `Quick test_csv_of_table;
           Alcotest.test_case "accessors" `Quick test_table_accessors;
+        ] );
+      ( "json",
+        [
+          Alcotest.test_case "round trip" `Quick test_json_roundtrip;
+          Alcotest.test_case "malformed input" `Quick test_json_errors;
+          Alcotest.test_case "member and to_float" `Quick test_json_accessors;
         ] );
     ]
