@@ -149,14 +149,13 @@ let smoke_label = "smoke-fig8 (4 configs x 19 benchmarks, 4 cores, 40 ops, 2 see
 
 let preset ~cores ~ops letter = E.config_of_letter { smoke with cores; ops_per_thread = ops } letter
 
-let fig8 ?(check = false) jobs =
-  timed (fun () ->
-      let s = E.run_suite ~jobs ~check ~cache:false smoke in
-      Report.Table.to_string (E.fig8 s) ^ Report.Table.to_string (E.fig8_discovery s))
+let fig8 ?(check = false) jobs () =
+  let s = E.run_suite ~jobs ~check ~cache:false smoke in
+  Report.Table.to_string (E.fig8 s) ^ Report.Table.to_string (E.fig8_discovery s)
 
 let suite_gate () =
-  let out1, ms1, _ = fig8 1 in
-  let outn, msn, _ = fig8 par_jobs in
+  let out1, ms1, _ = timed (fig8 1) in
+  let outn, msn, _ = timed (fig8 par_jobs) in
   let perf = E.perf_counters smoke (List.map Workloads.Registry.find [ "mwobject"; "bitcoin"; "bst" ]) in
   let meaningful = host_cores >= 2 in
   [
@@ -169,15 +168,19 @@ let suite_gate () =
     ("perfctr", J.Obj (List.map (fun (k, v) -> (k, J.Int v)) (Simrt.Perfctr.to_list perf)));
   ]
 
+(* Single-domain pairs, as in the streamcheck gate: the CPU time of one
+   domain carries none of the pool's synchronisation, so the factor is the
+   checker's own cost. test_check runs the checked suite on two domains. *)
 let check_gate () =
-  let plain, ms_plain, _ = fig8 par_jobs in
-  let checked, ms_checked, _ = fig8 ~check:true par_jobs in
+  let overhead, plain_ms, checked_ms, plain, checked =
+    best_of_pairs 3 (fig8 1) (fig8 ~check:true 1)
+  in
   let sim = { Run.cfg = preset ~cores:4 ~ops:40 "B"; workload = Workloads.Stack.workload; seed = 3 } in
   [
     ("suite", J.Str smoke_label);
-    ("plain_wall_ms", J.Int ms_plain);
-    ("checked_wall_ms", J.Int ms_checked);
-    ("check_overhead_factor", J.Float (ratio ms_checked ms_plain));
+    ("plain_cpu_ms", J.Int plain_ms);
+    ("checked_cpu_ms", J.Int checked_ms);
+    ("check_overhead_factor", J.Float overhead);
     ("outputs_identical", J.Bool (same "fig8 plain and --check" plain checked));
     ("oracles", strings (Check.Verdict.oracles (snd (Run.run_sim_checked sim))));
   ]
@@ -207,7 +210,7 @@ let paper_gate () =
            E.fig11 s; E.fig12 s; E.fig13 s; E.headline s; E.storage () ])
   in
   ignore (Clear_repro.Suite_cache.clear () : int);
-  let cold, cold_ms, _ = timed render in
+  let cold, cold_ms, cold_cpu_ms = timed render in
   let warm, warm_ms, _ = timed render in
   [
     ( "protocol",
@@ -215,19 +218,21 @@ let paper_gate () =
         "--paper (32 cores, 300 ops, 10 seeds trim 3, retries 1..10); restricted to arrayswap, \
          suite-driven artefacts" );
     ("cold_wall_ms", J.Int cold_ms);
+    ("cold_cpu_ms", J.Int cold_cpu_ms);
     ("warm_wall_ms", J.Int warm_ms);
     ("warm_speedup", J.Float (ratio cold_ms warm_ms));
     ("outputs_identical", J.Bool (same "artefacts cache-cold and cache-warm" cold warm));
   ]
 
 let streamcheck_gate () =
-  (* One `clear_sim check` point (seed 42) through both oracle paths:
-     whether the two reports agree, and the post hoc verdict. *)
+  (* One `clear_sim check` point (seed 42) through the streaming checker
+     and the post hoc reference model: whether the two reports agree, and
+     the reference verdict. *)
   let verdicts ?fault ~cores ~ops name letter =
     let cfg = { (preset ~cores ~ops letter) with Machine.Config.fault_blind_line = fault } in
     let sim = { Run.cfg; workload = Workloads.Registry.find name; seed = 42 } in
-    let posthoc = snd (Run.run_sim_checked sim) in
-    let streamed = snd (Run.run_sim_checked ~stream:true sim) in
+    let posthoc = snd (Check_reference.run_sim_checked sim) in
+    let streamed = snd (Run.run_sim_checked sim) in
     let report = Check.Verdict.to_string in
     (same (name ^ "/" ^ letter ^ " reports") (report posthoc) (report streamed), posthoc)
   in
@@ -239,7 +244,7 @@ let streamcheck_gate () =
   let fault_agrees, fault = verdicts ~fault:8 ~cores:8 ~ops:80 "mwobject" "B" in
   let o = { Sweep.default_options with loads = [ 120. ]; requests = 500_000; jobs = 1 } in
   let overhead, plain_ms, stream_ms, plain, streamed =
-    best_of_pairs 3 (fun () -> Sweep.run o) (fun () -> Sweep.run { o with check = true; stream = true })
+    best_of_pairs 3 (fun () -> Sweep.run o) (fun () -> Sweep.run { o with check = true })
   in
   let strip (r : Driver.t) =
     { r with checked = false; stream = false; oracle_ok = true; check_live_lines = 0; check_retired = 0 }
@@ -249,13 +254,13 @@ let streamcheck_gate () =
   [
     ( "suite",
       J.Str
-        "streaming checker (check grid x 2 paths, fault injection, openloop 500000 requests at load \
-         120)" );
+        "streaming checker (check grid vs post hoc reference, fault injection, openloop 500000 \
+         requests at load 120)" );
     ( "grid_points_identical",
       J.Int (List.length (List.filter (fun (agree, v) -> agree && Check.Verdict.ok v) grid)) );
     ("fault_caught_both_paths", J.Bool (fault_agrees && not (Check.Verdict.ok fault)));
     ( "open_stats_identical",
-      J.Bool (same "open-loop stats plain and --stream" (text plain) (text streamed)) );
+      J.Bool (same "open-loop stats plain and checked" (text plain) (text streamed)) );
     ("oracle_clean", J.Bool (List.for_all (fun r -> r.Driver.oracle_ok) streamed));
     ("open_plain_cpu_ms", J.Int plain_ms);
     ("open_stream_cpu_ms", J.Int stream_ms);
@@ -318,9 +323,9 @@ let gates =
             (fun (k, v) -> Option.map (fun v -> ("perfctr " ^ k, v)) (J.to_float v))
             counters
       ) );
-    ("check", (check_gate, 10., none));
+    ("check", (check_gate, 10., scalars [ "check_overhead_factor" ]));
     ("sched", (sched_gate, 10., none));
-    ("paper", (paper_gate, 25., scalars [ "cold_wall_ms" ]));
+    ("paper", (paper_gate, 25., scalars [ "cold_cpu_ms" ]));
     ("streamcheck", (streamcheck_gate, 10., scalars [ "stream_overhead_factor"; "peak_live_lines" ]));
     ( "openloop",
       ( openloop_gate,

@@ -4,7 +4,7 @@
     a common header (gate, host cores, parallel jobs [min 4 cores], OCaml
     version, gate wall and CPU ms) plus its own fields. A failed hard gate
     prints the gate name, the measured value and the limit, and exits 1. A
-    metric that moved by more than 10% (25% for the paper cold wall time)
+    metric that moved by more than 10% (25% for the paper cold CPU time)
     from the previous [BENCH_<name>.json] in the working directory prints a
     [::warning] line and never fails. The record then overwrites that file,
     except under dune ([INSIDE_DUNE] set), where the committed records are

@@ -61,13 +61,6 @@ let trace_out_arg =
 
 let json_arg = Arg.(value & flag & info [ "json" ] ~doc:"Machine-readable JSON output.")
 
-let stream_arg =
-  Arg.(value & flag
-       & info [ "stream" ]
-           ~doc:"Run the execution oracles online (incremental checker with bounded memory, \
-                 DESIGN.md §14) instead of post hoc; identical verdicts, O(live lines) peak \
-                 checker state.")
-
 let frontend_arg =
   Arg.(value & opt frontend_conv Machine.Config.Htm
        & info [ "frontend" ] ~doc:"Speculation front-end: htm (transactions) or sle (lock elision).")
@@ -214,7 +207,7 @@ let sched_arg =
 let suite_cmd =
   let module Experiments = Clear_repro.Experiments in
   let module Suite_cache = Clear_repro.Suite_cache in
-  let suite jobs paper workload check stream no_cache cache_clear sched =
+  let suite jobs paper workload check no_cache cache_clear sched =
     if cache_clear then begin
       let n = Suite_cache.clear () in
       Printf.eprintf "[suite] cleared %d cache shard(s) from %s\n%!" n Suite_cache.dir
@@ -234,9 +227,7 @@ let suite_cmd =
        oracle entirely — so --check bypasses the cache in both directions. *)
     let use_cache = (not no_cache) && not check in
     let t0 = Unix.gettimeofday () in
-    let s =
-      Experiments.run_suite ~jobs ~check ~stream ~cache:use_cache ~workloads ~progress opts
-    in
+    let s = Experiments.run_suite ~jobs ~check ~cache:use_cache ~workloads ~progress opts in
     Printf.eprintf "[suite] done in %.1f s on %d domain(s)%s\n%!"
       (Unix.gettimeofday () -. t0) jobs
       (if check then " (all runs validated by the execution oracle)" else "");
@@ -268,8 +259,8 @@ let suite_cmd =
   Cmd.v
     (Cmd.info "suite"
        ~doc:"Run the 4-configuration sweep on a pool of domains; print Figure 8 and the headline.")
-    Term.(const suite $ jobs_arg $ paper_arg $ workload_filter $ check_arg $ stream_arg
-          $ no_cache_arg $ cache_clear_arg $ sched_arg)
+    Term.(const suite $ jobs_arg $ paper_arg $ workload_filter $ check_arg $ no_cache_arg
+          $ cache_clear_arg $ sched_arg)
 
 (* ------------------------------------------------------------------ *)
 (* sched: scenario sweep against the symmetric baseline                *)
@@ -329,7 +320,7 @@ let sched_cmd =
           $ sched_cores_arg $ sched_ops_arg $ retries_arg)
 
 let check_cmd =
-  let check workload all letter cores ops seed retries frontend stream fault_blind_line =
+  let check workload all letter cores ops seed retries frontend fault_blind_line =
     let ws = if all then Workloads.Registry.all else [ find_workload workload ] in
     let cfg = config_of ~frontend letter ~cores ~ops ~seed ~retries in
     let cfg = { cfg with Machine.Config.fault_blind_line } in
@@ -337,7 +328,7 @@ let check_cmd =
     List.iter
       (fun (w : Machine.Workload.t) ->
         let _stats, verdict =
-          Clear_repro.Run.run_sim_checked ~stream { Clear_repro.Run.cfg; workload = w; seed }
+          Clear_repro.Run.run_sim_checked { Clear_repro.Run.cfg; workload = w; seed }
         in
         if Check.Verdict.ok verdict then
           Printf.printf "%-12s %s  OK (%d commits)\n%!" w.name letter
@@ -357,7 +348,7 @@ let check_cmd =
          & info [ "fault-blind-line" ] ~docv:"LINE"
              ~doc:"Inject the conflict-blindness engine bug on $(docv) (the engine stops \
                    detecting conflicts there). The oracles must catch it — used by the bench \
-                   gates to prove both checking paths fail loudly.")
+                   gates to prove the checker fails loudly.")
   in
   Cmd.v
     (Cmd.info "check"
@@ -365,7 +356,7 @@ let check_cmd =
              captured witnesses, bit-exact sequential replay of all committed ARs, and \
              lock-safety invariants. Exits non-zero on any violation.")
     Term.(const check $ workload_arg $ all_arg $ preset_arg $ cores_arg $ ops_arg $ seed_arg
-          $ retries_arg $ frontend_arg $ stream_arg $ fault_blind_arg)
+          $ retries_arg $ frontend_arg $ fault_blind_arg)
 
 let list_cmd =
   let list () =
@@ -684,20 +675,26 @@ let openloop_cmd =
   let module Sweep = Openloop.Sweep in
   let d = Sweep.default_options in
   let run json jobs workload keys theta loads requests process_name heat cap configs retries
-      cores seed check stream =
+      cores seed check =
     let process =
       match String.lowercase_ascii process_name with
       | "poisson" -> Machine.Config.Open_poisson
       | "burst" ->
-          if not (heat >= 0.0) then usage_error "--heat must be non-negative (got %g)" heat;
+          if not (Float.is_finite heat && heat >= 0.0) then
+            usage_error "--heat must be finite and non-negative (got %g)" heat;
           Machine.Config.Open_burst { heat }
       | other ->
           Printf.eprintf "unknown arrival process %s (expected poisson or burst)\n" other;
           exit 2
     in
     List.iter
-      (fun rate -> if not (rate > 0.0) then usage_error "--loads must all be positive (got %g)" rate)
+      (fun rate ->
+        if not (Float.is_finite rate && rate > 0.0) then
+          usage_error "--loads must all be finite and positive (got %g)" rate)
       loads;
+    (* A keyed request touches two distinct keys. *)
+    if keys < 2 then usage_error "--keys must be at least 2 (got %d)" keys;
+    if not (Float.is_finite theta) then usage_error "--theta must be finite (got %g)" theta;
     if requests <= 0 then usage_error "--requests must be positive (got %d)" requests;
     if cap < 0 then usage_error "--cap must be non-negative (got %d)" cap;
     let configs =
@@ -722,7 +719,6 @@ let openloop_cmd =
         seed;
         jobs;
         check;
-        stream;
       }
     in
     let results =
@@ -801,7 +797,7 @@ let openloop_cmd =
              Deterministic per seed at any --jobs.")
     Term.(const run $ json_arg $ jobs_arg $ workload_arg $ keys_arg $ theta_arg $ loads_arg
           $ requests_arg $ process_arg $ heat_arg $ cap_arg $ configs_arg $ openloop_retries_arg
-          $ openloop_cores_arg $ seed_arg $ check_arg $ stream_arg)
+          $ openloop_cores_arg $ seed_arg $ check_arg)
 
 let config_cmd =
   let show letter cores ops seed retries =

@@ -1,17 +1,13 @@
-(** Accumulates everything the engine emits for one checked run.
+(** Forwards everything the engine emits for one checked run to a sink.
 
     The engine (when created with a collector) feeds this during simulation:
     the initial memory snapshot, one witness per committed attempt, any
     store writes performed by workload drivers {e outside} atomic regions
-    (thread-private scratch buffers; see DESIGN.md §9), and the complete
-    lock/release event stream. {!Verdict.evaluate} consumes the result. *)
-
-type entry =
-  | Commit of Witness.t
-  | Driver_writes of { time : int; core : int; stores : (Mem.Addr.t * int) list }
-      (** Non-transactional stores a driver issued while choosing its next
-          operation, in program order. Replayed positionally; not part of the
-          serializability check. *)
+    (thread-private scratch buffers; see DESIGN.md §9), the complete
+    lock/release event stream, end-of-discovery decisions and conflict
+    events. Nothing is retained here: each emission goes straight to the
+    {!sink}, in emission order, so a checked run holds only what the sink
+    keeps ({!Stream.sink} keeps O(live lines)). *)
 
 type decision = {
   time : int;
@@ -50,31 +46,21 @@ type sink = {
   sink_ars : Isa.Program.ar list -> unit;
   sink_stats : unit -> int * int;  (** (peak live lines, retired entries) *)
 }
-(** An online consumer of the emission stream. A streaming collector
-    forwards every emission here instead of accumulating it, so a checked
-    run holds O(live state) instead of O(history); {!Stream.sink} builds
-    one over the incremental oracles. Plain closures — no module dependency
+(** An online consumer of the emission stream; {!Stream.sink} builds one
+    over the incremental oracles. Plain closures — no module dependency
     from here onto the streaming checker. *)
 
 type t
 
-val create : cores:int -> t
-(** A post hoc (accumulating) collector: everything is retained for
-    {!Verdict.evaluate} after the run. *)
-
 val create_streaming : cores:int -> sink -> t
-(** A streaming collector: emissions are forwarded to [sink] in emission
-    order and discarded; {!entries}/{!witnesses}/{!lock_events}/
-    {!decisions} stay empty. Witness [seq] assignment and
-    {!commit_count} work identically in both modes. *)
+(** A collector forwarding every emission to [sink]. It is the only
+    constructor; the name and the unused [cores] argument are kept because
+    the repository benchmark ([perfbench/]), whose sources are frozen with
+    its stored fingerprints, calls it this way. *)
 
-val cores : t -> int
-
-val is_streaming : t -> bool
-
-val stream_stats : t -> (int * int) option
-(** [sink_stats] passthrough — [None] on accumulating collectors. The
-    engine folds this into its perf counters at end of run. *)
+val stream_stats : t -> int * int
+(** [sink_stats] passthrough. The engine folds this into its perf counters
+    at end of run. *)
 
 val set_initial : t -> Mem.Store.image -> unit
 (** Memory snapshot taken after workload setup, before any simulated cycle.
@@ -92,7 +78,7 @@ val add_commit :
   writes:(Mem.Addr.line * int) list ->
   stores:(Mem.Addr.t * int) list ->
   unit
-(** Record a committed attempt; the commit-order [seq] is assigned here. *)
+(** Forward a committed attempt; the commit-order [seq] is assigned here. *)
 
 val add_driver_writes : t -> time:int -> core:int -> stores:(Mem.Addr.t * int) list -> unit
 (** Ignored when [stores] is empty. *)
@@ -115,24 +101,5 @@ val add_conflict :
   victim_ar:Isa.Program.ar ->
   line:Mem.Addr.line ->
   unit
-
-val initial : t -> Mem.Store.image option
-
-val entries : t -> entry list
-(** Commits and driver writes, in emission order. *)
-
-val witnesses : t -> Witness.t list
-(** Just the commits, in commit order. *)
-
-val lock_events : t -> Lock_safety.event list
-
-val decisions : t -> decision list
-(** End-of-discovery decisions, in emission order. *)
-
-val conflicts : t -> conflict list
-(** Deduplicated conflict events, in emission order. *)
-
-val ars : t -> Isa.Program.ar list
-(** As fed by {!set_ars}; empty if the engine never called it. *)
 
 val commit_count : t -> int

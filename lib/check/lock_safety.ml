@@ -81,10 +81,3 @@ let finish t =
         let line, core = Hashtbl.fold (fun l c _ -> (l, c)) t.holders (-1, -1) in
         result := err max_int core "simulation ended with line %d still locked" line);
   !result
-
-let check ~cores events =
-  let t = create ~cores in
-  let fed =
-    List.fold_left (fun acc e -> match acc with Error _ -> acc | Ok () -> add t e) (Ok ()) events
-  in
-  match fed with Error _ as e -> e | Ok () -> finish t

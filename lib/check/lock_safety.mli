@@ -1,8 +1,8 @@
 (** Lock-safety invariants over the engine's lock/release event stream.
 
     CLEAR's cacheline-lock machinery must uphold three invariants, checked
-    here from a complete event log (the bounded trace ring may drop events;
-    this stream never does):
+    here event by event over the complete stream (the bounded trace ring
+    may drop events; this stream never does):
 
     - {b mutual exclusion}: a line is never locked by two cores at once;
     - {b lexicographic acquisition}: within one attempt, ALT locks are taken
@@ -32,6 +32,3 @@ val add : t -> event -> (unit, violation) result
 
 val finish : t -> (unit, violation) result
 (** End-of-run check: no core may still hold a lock. *)
-
-val check : cores:int -> event list -> (unit, violation) result
-(** [add] every event, then [finish]. *)

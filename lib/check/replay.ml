@@ -64,7 +64,7 @@ let replay_witness mem (w : Witness.t) =
 (* Windowed cursor: the incremental face of the oracle. The rolling store
    is the only state carried between steps — a replayed prefix is folded
    into it and discarded, so streaming replay holds O(touched words), not
-   O(history). [run] below is a thin loop over the cursor. *)
+   O(history). *)
 
 type cursor = { mem : Mem.Store.t }
 
@@ -98,20 +98,3 @@ let finish cur ~final =
     | Some (addr, replayed, simulated, differing) ->
         Error (Memory_mismatch { addr; replayed; simulated; differing })
   end
-
-let run ~initial ~entries ~final =
-  let cur = start ~initial in
-  let fed =
-    List.fold_left
-      (fun acc entry ->
-        match acc with
-        | Error _ -> acc
-        | Ok () -> (
-            match entry with
-            | Collector.Commit w -> step cur w
-            | Collector.Driver_writes { stores; _ } ->
-                apply_driver_writes cur stores;
-                Ok ()))
-      (Ok ()) entries
-  in
-  match fed with Error _ as e -> e | Ok () -> finish cur ~final

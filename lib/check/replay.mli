@@ -59,14 +59,3 @@ val apply_driver_writes : cursor -> (Mem.Addr.t * int) list -> unit
 val finish : cursor -> final:Mem.Store.image -> (unit, divergence) result
 (** Whole-image backstop: the rolling store must be bit-identical to the
     simulated final memory. *)
-
-val run :
-  initial:Mem.Store.image ->
-  entries:Collector.entry list ->
-  final:Mem.Store.image ->
-  (unit, divergence) result
-(** [run ~initial ~entries ~final] replays [entries] on a store built from
-    [initial] and compares against [final] — {!start}/{!step}/{!finish}
-    over a complete per-run entry list. Both images share untouched
-    chunks with the simulation's store, so the whole-image comparison costs
-    O(words actually written) rather than O(memory size). *)

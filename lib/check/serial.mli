@@ -1,11 +1,12 @@
-(** Conflict-graph serializability checker over committed witnesses.
+(** Conflict-graph serializability violations over committed witnesses.
 
-    Builds the direct-serialization graph incrementally in commit order. The
-    candidate serial order is the commit order itself, so the check reduces
-    to: no temporal dependency may point {e against} commit order. For each
-    shared line we track the last committed writer (with its visibility time)
-    and the readers since that writer; each new witness is checked against
-    that state in O(footprint).
+    The oracle ({!Stream}) builds the direct-serialization graph
+    incrementally in commit order. The candidate serial order is the commit
+    order itself, so the check reduces to: no temporal dependency may point
+    {e against} commit order. For each shared line it tracks the last
+    committed writer (with its visibility time) and the readers since that
+    writer; each new witness is checked against that state in
+    O(footprint).
 
     Three violation kinds, each a minimal two-node cycle with an
     earlier-committed witness:
@@ -37,14 +38,3 @@ type violation = {
 val pp_violation : Format.formatter -> violation -> unit
 (** Prints the minimal witness cycle: commit-order edge one way, temporal
     dependency the other. *)
-
-type t
-
-val create : unit -> t
-
-val add : t -> Witness.t -> (unit, violation) result
-(** Feed witnesses in commit order; the first violation found is returned.
-    After an [Error] the checker state is undefined — report and stop. *)
-
-val check : Witness.t list -> (unit, violation) result
-(** Run [add] over a complete commit-ordered history. *)

@@ -21,9 +21,10 @@
      visibility vis' < vis <= F).
 
    Dropping exactly that state changes no check outcome, so the first
-   violation reported here is identical — field for field — to the post hoc
-   {!Serial.check} over the full history. Dropped entries are folded into
-   per-line and global high-water counters, never lost silently. *)
+   violation reported here is identical — field for field — to a post hoc
+   serializability check over the full history (the reference model in
+   test/reference/). Dropped entries are folded into per-line and global
+   high-water counters, never lost silently. *)
 
 type line_state = {
   mutable last_writer : (Witness.t * int) option;  (* witness, visibility *)
@@ -61,7 +62,7 @@ type t = {
   mutable since_sweep : int;
   (* Per-oracle first-error latches: after an oracle fails it stops being
      fed (its post hoc counterpart stops at the first error too); the other
-     oracles keep running, matching {!Verdict.evaluate}'s independent
+     oracles keep running, matching the post hoc evaluation's independent
      results. The static gate latches witness and decision violations
      separately because the post hoc gate checks all witnesses before any
      decision. *)
@@ -149,9 +150,9 @@ let sweep t =
     t.lines
 
 (* ------------------------------------------------------------------ *)
-(* Serializability: Serial.add ported onto the retiring line table. The
-   check logic is identical statement for statement; only the bookkeeping
-   around the per-line entries differs. *)
+(* Serializability on the retiring line table. The check logic is
+   identical statement for statement to the post hoc reference's; only the
+   bookkeeping around the per-line entries differs. *)
 
 let state t line =
   match Hashtbl.find_opt t.lines line with

@@ -1,9 +1,11 @@
-(** Incremental, bounded-memory execution oracle (DESIGN.md §14).
+(** Incremental, bounded-memory execution oracle (DESIGN.md §14): the
+    only checker a checked run uses.
 
-    Consumes the same emission stream a post hoc {!Collector} accumulates —
-    witness by witness, at commit time — and produces, for every oracle, a
-    result identical field for field to the post hoc evaluation, while
-    retiring state the committed frontier proves inert:
+    Consumes the engine's emission stream through a {!Collector} — witness
+    by witness, at commit time — and produces, for every oracle, a result
+    identical field for field to a post hoc evaluation over the whole
+    history (the reference model in [test/reference/]), while retiring
+    state the committed frontier proves inert:
 
     - {b serializability}: {!Serial}'s per-line state under a retirement
       discipline. Let F be the minimum attempt-begin time over in-flight
@@ -20,7 +22,7 @@
 
     Each oracle latches its first error and stops being fed (its post hoc
     counterpart stops at the first error too); the others keep running, so
-    the final {!results} match {!Verdict.evaluate} exactly. *)
+    the final {!results} match the post hoc evaluation exactly. *)
 
 type stats = {
   live_lines : int;  (** lines currently holding checker state *)
@@ -74,4 +76,4 @@ val stats : t -> stats
 val sink : t -> Collector.sink
 (** Wrap this checker as a {!Collector.sink} for
     {!Collector.create_streaming}, which is how the engine's [?check]
-    collector feeds it without the engine changing. *)
+    collector feeds it. *)

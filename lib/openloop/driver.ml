@@ -24,46 +24,20 @@ type t = {
   check_retired : int;  (** checker entries retired behind the frontier *)
 }
 
-let run_point ?(check = false) ?(stream = false) (cfg : Config.t)
-    (workload : Machine.Workload.t) =
+(* [stream] is accepted and ignored; see driver.mli. *)
+let run_point ?(check = false) ?stream:_ (cfg : Config.t) (workload : Machine.Workload.t) =
   let q =
     match cfg.Config.openloop with
     | Some q -> q
     | None -> invalid_arg "Openloop.Driver.run_point: config has no open queue"
   in
-  let stream = check && stream in
-  (* [streamer] holds the online checker when streaming; the collector then
-     forwards emissions instead of accumulating them, which is what keeps
-     always-on checking affordable at open-system history lengths. *)
-  let streamer =
-    if stream then
-      Some
-        (Check.Stream.create
-           ~static_gate:(Clear_repro.Run.static_gate_of_config cfg)
-           ~cores:cfg.Config.cores ())
-    else None
-  in
-  let collector =
-    match streamer with
-    | Some str ->
-        Some (Check.Collector.create_streaming ~cores:cfg.Config.cores (Check.Stream.sink str))
-    | None ->
-        if check then Some (Check.Collector.create ~cores:cfg.Config.cores) else None
-  in
-  let engine = Machine.Engine.create ?check:collector cfg workload in
-  let stats = Machine.Engine.run engine in
-  let oracle_ok =
-    match (streamer, collector) with
-    | _, None -> true
-    | Some str, _ ->
-        let final = Mem.Store.snapshot (Machine.Engine.store engine) in
-        Check.Verdict.ok (Check.Verdict.of_stream str ~final)
-    | None, Some col ->
-        let final = Mem.Store.snapshot (Machine.Engine.store engine) in
-        Check.Verdict.ok
-          (Check.Verdict.evaluate
-             ~static_gate:(Clear_repro.Run.static_gate_of_config cfg)
-             col ~final)
+  let engine, stats, oracle_ok =
+    if check then
+      let engine, stats, verdict = Clear_repro.Run.run_engine_checked cfg workload in
+      (engine, stats, Check.Verdict.ok verdict)
+    else
+      let engine = Machine.Engine.create cfg workload in
+      (engine, Machine.Engine.run engine, true)
   in
   let perf = Machine.Engine.perfctr engine in
   let oq =
@@ -88,7 +62,7 @@ let run_point ?(check = false) ?(stream = false) (cfg : Config.t)
     sojourn = Report.Percentile.of_samples (Machine.Openq.sojourns oq);
     wait = Report.Percentile.of_samples (Machine.Openq.waits oq);
     checked = check;
-    stream;
+    stream = check;
     oracle_ok;
     events = perf.Simrt.Perfctr.events_popped;
     check_live_lines = perf.Simrt.Perfctr.check_live_lines;

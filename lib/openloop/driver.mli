@@ -19,14 +19,19 @@ type t = {
   sojourn : Report.Percentile.t option;  (** enqueue → commit latency *)
   wait : Report.Percentile.t option;  (** enqueue → dispatch latency *)
   checked : bool;
-  stream : bool;  (** the oracles ran online ({!Check.Stream}) *)
+  stream : bool;
+      (** always equal to [checked]: every check runs online
+          ({!Check.Stream}). The field and its ["stream"] JSON key stay
+          because the repository benchmark ([perfbench/]) builds this record
+          and fingerprints {!to_json}, and its sources and stored
+          fingerprints are frozen. *)
   oracle_ok : bool;  (** vacuously [true] when [checked] is [false] *)
   events : int;  (** engine events popped — the oracle's stream length scale *)
   check_live_lines : int;
-      (** streaming-checker live-line high-water mark; 0 unless [stream] *)
+      (** streaming-checker live-line high-water mark; 0 unless [checked] *)
   check_retired : int;
       (** checker entries retired behind the committed frontier; 0 unless
-          [stream] *)
+          [checked] *)
 }
 
 val run_point :
@@ -36,12 +41,13 @@ val run_point :
   Machine.Workload.t ->
   t
 (** Runs one simulation. [check] (default [false]) attaches the execution
-    oracle collector and records the verdict in [oracle_ok]; capture never
-    perturbs simulated behaviour, so latency numbers are identical either
-    way. [stream] (default [false]; only meaningful with [check]) runs the
-    oracles online with bounded memory — the verdict is identical, and the
-    [check_live_lines]/[check_retired] fields report the checker's memory
-    behaviour. Raises [Invalid_argument] when the configuration has no open
+    oracle ({!Clear_repro.Run.run_engine_checked}) and records the verdict
+    in [oracle_ok]; capture never perturbs simulated behaviour, so latency
+    numbers are identical either way, and the [check_live_lines] /
+    [check_retired] fields report the checker's memory behaviour. [stream]
+    is ignored: it once chose between two oracle implementations, and
+    stays only because the frozen repository benchmark ([perfbench/])
+    passes it. Raises [Invalid_argument] when the configuration has no open
     queue. *)
 
 val to_json : t -> Report.Json.t

@@ -1,6 +1,7 @@
 (* The execution oracle: unit tests of the three checkers on hand-built
-   histories, plus end-to-end runs — including one with an injected
-   conflict-detection bug the oracle must catch. *)
+   histories (through the post hoc reference model, Check_reference), plus
+   end-to-end runs of the streaming checker — including injected bugs the
+   oracle must catch, with the report byte-identical to the reference's. *)
 
 module Engine = Machine.Engine
 module Config = Machine.Config
@@ -26,7 +27,7 @@ let contains_sub haystack needle =
 (* ------------------------------------------------------------------ *)
 (* Serializability checker *)
 
-let check_serial ws = Check.Serial.check ws
+let check_serial ws = Check_reference.Serial.check ws
 
 let test_serial_accepts_serial_history () =
   (* A commits a buffered write at t=10; B reads the line afterwards. *)
@@ -113,7 +114,7 @@ let test_serial_buffered_concurrent_ok () =
 (* ------------------------------------------------------------------ *)
 (* Lock safety *)
 
-let ls = Check.Lock_safety.check ~cores:4
+let ls = Check_reference.Lock_safety.check ~cores:4
 
 let test_locks_clean_sequence () =
   let events =
@@ -203,7 +204,8 @@ let test_replay_accepts_faithful_history () =
   final.(0) <- 5;
   let final = image_of final in
   Alcotest.(check bool) "faithful history accepted" true
-    (Result.is_ok (Check.Replay.run ~initial ~entries:[ Check.Collector.Commit w ] ~final))
+    (Result.is_ok
+       (Check_reference.Replay.run ~initial ~entries:[ Check_reference.Commit w ] ~final))
 
 let test_replay_detects_store_mismatch () =
   (* The witness claims the simulation drained M[0] <- 6; the body stores 5. *)
@@ -212,7 +214,7 @@ let test_replay_detects_store_mismatch () =
   let final = Array.make 16 0 in
   final.(0) <- 6;
   let final = image_of final in
-  match Check.Replay.run ~initial ~entries:[ Check.Collector.Commit w ] ~final with
+  match Check_reference.Replay.run ~initial ~entries:[ Check_reference.Commit w ] ~final with
   | Error (Check.Replay.Store_mismatch _) -> ()
   | Error d ->
       Alcotest.failf "wrong divergence: %s" (Format.asprintf "%a" Check.Replay.pp_divergence d)
@@ -226,7 +228,7 @@ let test_replay_detects_memory_mismatch () =
   final.(0) <- 5;
   final.(9) <- 123;
   let final = image_of final in
-  match Check.Replay.run ~initial ~entries:[ Check.Collector.Commit w ] ~final with
+  match Check_reference.Replay.run ~initial ~entries:[ Check_reference.Commit w ] ~final with
   | Error (Check.Replay.Memory_mismatch { addr; differing; _ }) ->
       Alcotest.(check int) "first differing word" 9 addr;
       Alcotest.(check int) "one differing word" 1 differing
@@ -242,12 +244,12 @@ let test_replay_applies_driver_writes () =
   let final = image_of final in
   let entries =
     [
-      Check.Collector.Driver_writes { time = 0; core = 1; stores = [ (12, 7) ] };
-      Check.Collector.Commit w;
+      Check_reference.Driver_writes { time = 0; core = 1; stores = [ (12, 7) ] };
+      Check_reference.Commit w;
     ]
   in
   Alcotest.(check bool) "driver writes reach the replay image" true
-    (Result.is_ok (Check.Replay.run ~initial ~entries ~final))
+    (Result.is_ok (Check_reference.Replay.run ~initial ~entries ~final))
 
 (* ------------------------------------------------------------------ *)
 (* End-to-end: checked real runs *)
@@ -270,10 +272,10 @@ let test_checked_run_clean () =
 
 let test_check_does_not_perturb () =
   (* Witness capture must not change the simulation: stats are identical
-     with and without the collector. *)
+     with and without the collector, here feeding the recording sink. *)
   let sim = { Run.cfg = small Config.clear_power; workload = Workloads.Bst.workload; seed = 11 } in
   let plain = Run.run_sim sim in
-  let checked, verdict = Run.run_sim_checked sim in
+  let checked, verdict = Check_reference.run_sim_checked sim in
   Alcotest.(check bool) "verdict clean" true (Check.Verdict.ok verdict);
   Alcotest.(check int) "same cycles" (Stats.total_cycles plain) (Stats.total_cycles checked);
   Alcotest.(check int) "same commits" (Stats.commits plain) (Stats.commits checked);
@@ -352,8 +354,8 @@ let test_suite_checked_smoke () =
 
 (* ------------------------------------------------------------------ *)
 (* Streaming checker: Check.Stream fed the same emissions must agree with
-   the post hoc oracles — on hand-built histories and on full engine runs —
-   while retiring state behind the committed frontier. *)
+   the post hoc reference — on hand-built histories and on full engine
+   runs — while retiring state behind the committed frontier. *)
 
 (* Replay a hand-built history through a Stream in engine order: each
    witness's attempt events and commit merged into one non-decreasing time
@@ -428,7 +430,7 @@ let test_stream_matches_serial_on_unit_histories () =
   in
   List.iter
     (fun (label, ws) ->
-      let posthoc = serial_fingerprint (Check.Serial.check ws) in
+      let posthoc = serial_fingerprint (Check_reference.Serial.check ws) in
       List.iter
         (fun sweep_every ->
           let results, _stats = stream_over ~sweep_every ws in
@@ -464,7 +466,8 @@ let test_stream_retires_behind_frontier () =
           ~writes:[ ((2 * i) + 1, (i * 10) + 5) ]
           ())
   in
-  Alcotest.(check bool) "history is serializable" true (Result.is_ok (Check.Serial.check ws));
+  Alcotest.(check bool) "history is serializable" true
+    (Result.is_ok (Check_reference.Serial.check ws));
   let results, stats = stream_over ~sweep_every:8 ws in
   Alcotest.(check bool) "stream agrees" true (Result.is_ok results.Check.Stream.serial);
   Alcotest.(check int) "all commits seen" n stats.Check.Stream.commits;
@@ -487,24 +490,14 @@ let test_stream_requires_initial () =
     (Invalid_argument "Stream.finish: no initial snapshot was fed") (fun () ->
       ignore (Check.Stream.finish str ~final:(image_of (Array.make 16 0))))
 
-let test_streaming_collector_rejects_posthoc_evaluate () =
-  (* A streaming collector keeps no history; asking it for a post hoc
-     verdict must fail loudly instead of reporting a hollow pass. *)
-  let str = Check.Stream.create ~cores:4 () in
-  let col = Check.Collector.create_streaming ~cores:4 (Check.Stream.sink str) in
-  Alcotest.(check bool) "collector marked streaming" true (Check.Collector.is_streaming col);
-  Alcotest.check_raises "evaluate refused"
-    (Invalid_argument "Verdict.evaluate: streaming collector retains no history; use of_stream")
-    (fun () -> ignore (Check.Verdict.evaluate col ~final:(image_of (Array.make 16 0))))
-
 let test_stream_end_to_end_agreement () =
   (* Whole-engine runs: the streaming verdict must equal the post hoc one —
      same report, byte for byte — on clean runs of all four presets. *)
   List.iter
     (fun (label, cfg) ->
       let sim = { Run.cfg = small cfg; workload = Workloads.Mwobject.workload; seed = 7 } in
-      let _stats, posthoc = Run.run_sim_checked sim in
-      let _stats, streamed = Run.run_sim_checked ~stream:true sim in
+      let _stats, posthoc = Check_reference.run_sim_checked sim in
+      let _stats, streamed = Run.run_sim_checked sim in
       Alcotest.(check bool) (label ^ " both clean") true
         (Check.Verdict.ok posthoc && Check.Verdict.ok streamed);
       Alcotest.(check string) (label ^ " same report") (Check.Verdict.to_string posthoc)
@@ -516,26 +509,12 @@ let test_stream_end_to_end_agreement () =
       ("W", Config.clear_power);
     ]
 
-let test_stream_catches_injected_bug () =
-  (* The fault_blind_line bug from test_injected_bug_caught must fail the
-     streaming path identically: same oracles flagged, same report. *)
-  let cfg =
-    { (small Config.baseline) with Config.ops_per_thread = 80; fault_blind_line = Some 0 }
-  in
-  let sim = { Run.cfg; workload = counter_workload; seed = 5 } in
-  let _stats, posthoc = Run.run_sim_checked sim in
-  let _stats, streamed = Run.run_sim_checked ~stream:true sim in
-  Alcotest.(check bool) "posthoc flags the bug" true (not (Check.Verdict.ok posthoc));
-  Alcotest.(check bool) "stream flags the bug" true (not (Check.Verdict.ok streamed));
-  Alcotest.(check string) "identical failure report" (Check.Verdict.to_string posthoc)
-    (Check.Verdict.to_string streamed)
-
 let test_stream_does_not_perturb () =
   (* The observation-only contract extends to streaming: stats are
      bit-identical to the unchecked run. *)
   let sim = { Run.cfg = small Config.clear_power; workload = Workloads.Bst.workload; seed = 11 } in
   let plain = Run.run_sim sim in
-  let streamed, verdict = Run.run_sim_checked ~stream:true sim in
+  let streamed, verdict = Run.run_sim_checked sim in
   Alcotest.(check bool) "verdict clean" true (Check.Verdict.ok verdict);
   Alcotest.(check int) "same cycles" (Stats.total_cycles plain) (Stats.total_cycles streamed);
   Alcotest.(check int) "same commits" (Stats.commits plain) (Stats.commits streamed);
@@ -552,15 +531,86 @@ let test_stream_suite_smoke () =
       sched = Sched.Profile.symmetric;
     }
   in
-  let run stream =
-    Clear_repro.Experiments.run_suite ~jobs:2 ~check:true ~stream
+  let run check =
+    Clear_repro.Experiments.run_suite ~jobs:2 ~check
       ~workloads:[ Workloads.Stack.workload; Workloads.Mwobject.workload ]
       opts
   in
-  (* Streaming validation accepts the same suite and measures identically. *)
+  (* Streaming validation accepts the suite and measures identically to the
+     unchecked sweep. *)
   let a = run false and b = run true in
   Alcotest.(check bool) "same rows" true
     (a.Clear_repro.Experiments.rows = b.Clear_repro.Experiments.rows)
+
+(* ------------------------------------------------------------------ *)
+(* Fault table: each injected bug fails the streaming verdict on the
+   oracles that catch it, leaves the others passing, and reports exactly
+   what the post hoc reference reports. *)
+
+(* [Run.run_sim_checked] with a replacement static gate. *)
+let stream_with_gate gate (sim : Run.sim) =
+  let cfg = Config.with_seed sim.Run.cfg sim.Run.seed in
+  let cores = cfg.Config.cores in
+  let str = Check.Stream.create ~static_gate:gate ~cores () in
+  let check = Check.Collector.create_streaming ~cores (Check.Stream.sink str) in
+  let engine = Engine.create ~check cfg sim.Run.workload in
+  ignore (Engine.run engine : Stats.t);
+  Check.Verdict.of_stream str ~final:(Store.snapshot (Engine.store engine))
+
+let oracle_passes (v : Check.Verdict.t) =
+  [
+    ("serializability", Result.is_ok v.Check.Verdict.serial);
+    ("replay", Result.is_ok v.Check.Verdict.replay);
+    ("lock-safety", Result.is_ok v.Check.Verdict.locks);
+    ("static-gate", Option.fold ~none:true ~some:Result.is_ok v.Check.Verdict.static_);
+  ]
+
+(* (fault, simulation, replacement static gate, oracles that must fail). *)
+let fault_rows =
+  let counter cfg = { Run.cfg; workload = counter_workload; seed = 5 } in
+  let arrayswap =
+    {
+      Run.cfg = { Config.clear_rw with Config.cores = 2; ops_per_thread = 10 };
+      workload = Workloads.Registry.find "arrayswap";
+      seed = 7;
+    }
+  in
+  let drop_store =
+    let cfg = arrayswap.Run.cfg in
+    Staticcheck.Gate.create ~fault_drop_store:true
+      (Staticcheck.Predict.params_of ~alt_capacity:cfg.Config.alt_capacity
+         ~sq_entries:cfg.sq_entries ~rob_entries:cfg.rob_entries ~crt_entries:cfg.crt_entries
+         ~crt_ways:cfg.crt_ways cfg.mem_params)
+  in
+  [
+    ( "blind_line",
+      counter { (small Config.baseline) with Config.ops_per_thread = 80; fault_blind_line = Some 0 },
+      None,
+      [ "serializability"; "replay" ] );
+    ( "numa_blind under numa2x",
+      counter
+        (Config.with_sched
+           { (small Config.baseline) with Config.ops_per_thread = 60; fault_numa_blind = true }
+           (Sched.Scenarios.find_exn "numa2x")),
+      None,
+      [ "serializability"; "replay" ] );
+    ("gate drop_store", arrayswap, Some drop_store, [ "static-gate" ]);
+  ]
+
+let test_fault_row (_, sim, static_gate, failing) () =
+  let streamed =
+    match static_gate with
+    | None -> snd (Run.run_sim_checked sim)
+    | Some gate -> stream_with_gate gate sim
+  in
+  let posthoc = snd (Check_reference.run_sim_checked ?static_gate sim) in
+  Alcotest.(check bool) "streaming verdict fails" false (Check.Verdict.ok streamed);
+  List.iter
+    (fun (oracle, passed) ->
+      Alcotest.(check bool) (oracle ^ " passes") (not (List.mem oracle failing)) passed)
+    (oracle_passes streamed);
+  Alcotest.(check string) "report identical to the reference" (Check.Verdict.to_string posthoc)
+    (Check.Verdict.to_string streamed)
 
 (* ------------------------------------------------------------------ *)
 (* Trace: Unlocked events, dump clamp, Chrome export *)
@@ -656,15 +706,15 @@ let () =
           Alcotest.test_case "retires behind the frontier" `Quick test_stream_retires_behind_frontier;
           Alcotest.test_case "sweep_every validated" `Quick test_stream_sweep_every_validated;
           Alcotest.test_case "finish requires initial" `Quick test_stream_requires_initial;
-          Alcotest.test_case "post hoc evaluate refused" `Quick
-            test_streaming_collector_rejects_posthoc_evaluate;
           Alcotest.test_case "end-to-end agreement (all presets)" `Quick
             test_stream_end_to_end_agreement;
-          Alcotest.test_case "injected bug caught identically" `Quick
-            test_stream_catches_injected_bug;
           Alcotest.test_case "streaming does not perturb" `Quick test_stream_does_not_perturb;
           Alcotest.test_case "streamed suite identical" `Quick test_stream_suite_smoke;
         ] );
+      ( "faults",
+        List.map
+          (fun ((name, _, _, _) as row) -> Alcotest.test_case name `Quick (test_fault_row row))
+          fault_rows );
       ( "trace",
         [
           Alcotest.test_case "unlock balance" `Quick test_trace_unlock_balance;

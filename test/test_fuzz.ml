@@ -269,7 +269,7 @@ let test_numa_blind_fault_caught () =
    non-decreasing in time, reads/writes fall inside their attempt, commits
    precede same-cycle attempt ends — must produce the same serializability
    verdict from Check.Stream (at any retirement cadence) as from the post
-   hoc Check.Serial over the full history. *)
+   hoc reference Check_reference.Serial over the full history. *)
 
 let noop_ar = P.make_ar ~id:77 ~name:"noop" [| I.Halt |]
 
@@ -354,7 +354,7 @@ let prop_stream_matches_serial =
       let rng = Random.State.make [| seed; 0x57e4 |] in
       let events = events_of_attempts (gen_attempts rng) in
       let ws = List.filter_map (function _, `Witness w -> Some w | _ -> None) events in
-      let posthoc = serial_fingerprint (Check.Serial.check ws) in
+      let posthoc = serial_fingerprint (Check_reference.Serial.check ws) in
       let zero = Store.image_of_array (Array.make 16 0) in
       List.for_all
         (fun sweep_every ->
@@ -378,15 +378,16 @@ let prop_stream_matches_serial =
         [ 1; 2; 7; 512 ])
 
 let test_fuzz_stream_agrees_with_posthoc () =
-  (* Full engine runs: the streaming verdict equals the post hoc one byte
-     for byte on fuzzed workloads under every configuration. *)
+  (* Full engine runs: the streaming verdict equals the post hoc
+     reference's byte for byte on fuzzed workloads under every
+     configuration. *)
   for seed = 50 to 52 do
     let w = gen_workload ~seed ~ar_count:3 in
     List.iter
       (fun (label, cfg) ->
         let sim = { Clear_repro.Run.cfg = shape cfg; workload = w; seed } in
-        let _stats, posthoc = Clear_repro.Run.run_sim_checked sim in
-        let _stats, streamed = Clear_repro.Run.run_sim_checked ~stream:true sim in
+        let _stats, posthoc = Check_reference.run_sim_checked sim in
+        let _stats, streamed = Clear_repro.Run.run_sim_checked sim in
         Alcotest.(check string)
           (Printf.sprintf "seed %d %s stream report" seed label)
           (Check.Verdict.to_string posthoc)
@@ -407,8 +408,8 @@ let test_fuzz_stream_agrees_with_posthoc () =
       (Sched.Scenarios.find_exn "numa2x")
   in
   let sim = { Clear_repro.Run.cfg; workload = counter_workload; seed = 5 } in
-  let _stats, posthoc = Clear_repro.Run.run_sim_checked sim in
-  let _stats, streamed = Clear_repro.Run.run_sim_checked ~stream:true sim in
+  let _stats, posthoc = Check_reference.run_sim_checked sim in
+  let _stats, streamed = Clear_repro.Run.run_sim_checked sim in
   Alcotest.(check bool) "fault caught by stream" true (not (Check.Verdict.ok streamed));
   Alcotest.(check string) "identical failing report" (Check.Verdict.to_string posthoc)
     (Check.Verdict.to_string streamed)

@@ -370,5 +370,15 @@ let () =
               "run --retries=-1";
               "sched --ops 0";
             ]
-        @ [ Alcotest.test_case "accepts 0 retries" `Quick test_cli_accepts_zero_retries ] );
+        @ [ Alcotest.test_case "accepts 0 retries" `Quick test_cli_accepts_zero_retries ]
+        @ List.map
+            (fun args -> Alcotest.test_case ("rejects " ^ args) `Quick (test_cli_rejects args))
+            [
+              "openloop --keys 0";
+              "openloop --keys=-5";
+              "openloop --keys 1";
+              "openloop --loads inf";
+              "openloop --process burst --heat inf";
+              "openloop --theta nan";
+            ] );
     ]

@@ -173,26 +173,33 @@ let open_cfg ?(cap = 0) ?(requests = 300) ?(rate = 80.0) preset =
 let open_workload = lazy (Workloads.Registry.open_scaled "arrayswap" ~keys:(1 lsl 12) ~theta:6.0)
 
 let test_pooled_capture_bit_identical_open () =
+  (* The same contract on an open-loop run, with capture feeding the post
+     hoc reference's recording sink instead of the streaming checker. *)
   let cfg = open_cfg Config.clear_rw in
-  let w = Lazy.force open_workload in
-  let plain = Driver.run_point ~check:false cfg w in
-  let checked = Driver.run_point ~check:true cfg w in
-  Alcotest.(check bool) "oracle clean" true checked.Driver.oracle_ok;
-  Alcotest.(check bool) "checked flag" true checked.Driver.checked;
-  (* Everything outside the two check-reporting fields is bit-identical. *)
-  Alcotest.(check bool) "same lifecycle + latency" true
-    ({ checked with Driver.checked = false; oracle_ok = plain.Driver.oracle_ok } = plain)
+  let sim = { Clear_repro.Run.cfg; workload = Lazy.force open_workload; seed = cfg.Config.seed } in
+  let plain = Clear_repro.Run.run_sim sim in
+  let checked, verdict = Check_reference.run_sim_checked sim in
+  Alcotest.(check bool) "oracle clean" true (Check.Verdict.ok verdict);
+  List.iter
+    (fun (what, f) -> Alcotest.(check int) what (f plain) (f checked))
+    [
+      ("cycles", Machine.Stats.total_cycles);
+      ("commits", Machine.Stats.commits);
+      ("aborts", Machine.Stats.aborts);
+      ("instrs", Machine.Stats.instrs);
+    ]
 
 let test_streamed_point_bit_identical () =
-  (* The streaming checker is observation-only too: a --check --stream point
-     must agree with the unchecked point on every lifecycle and latency
-     field, report a clean oracle, and expose its memory counters. *)
+  (* The streaming checker is observation-only too: a --check point must
+     agree with the unchecked point on every lifecycle and latency field,
+     report a clean oracle, and expose its memory counters. *)
   let cfg = open_cfg Config.clear_rw in
   let w = Lazy.force open_workload in
   let plain = Driver.run_point ~check:false cfg w in
-  let streamed = Driver.run_point ~check:true ~stream:true cfg w in
+  let streamed = Driver.run_point ~check:true cfg w in
   Alcotest.(check bool) "oracle clean" true streamed.Driver.oracle_ok;
-  Alcotest.(check bool) "stream flag" true streamed.Driver.stream;
+  Alcotest.(check bool) "stream flag follows checked" true streamed.Driver.stream;
+  Alcotest.(check bool) "unchecked point has no stream flag" false plain.Driver.stream;
   Alcotest.(check bool) "streamed point otherwise bit-identical" true
     ({
        streamed with
@@ -205,9 +212,16 @@ let test_streamed_point_bit_identical () =
     = plain);
   Alcotest.(check bool) "live-line high water reported" true (streamed.Driver.check_live_lines > 0);
   Alcotest.(check int) "unchecked point has no checker state" 0 plain.Driver.check_live_lines;
-  (* Streaming and post hoc verdicts agree on the same point. *)
-  let posthoc = Driver.run_point ~check:true cfg w in
-  Alcotest.(check bool) "posthoc agrees" posthoc.Driver.oracle_ok streamed.Driver.oracle_ok
+  (* The streaming verdict agrees with the post hoc reference on the same
+     point, report for report. *)
+  let report v = Check.Verdict.to_string v in
+  let sim = { Clear_repro.Run.cfg; workload = w; seed = cfg.Config.seed } in
+  Alcotest.(check string) "posthoc reference agrees"
+    (report (snd (Check_reference.run_sim_checked sim)))
+    (report (snd (Clear_repro.Run.run_sim_checked sim)));
+  (* The ignored [~stream] leftover changes nothing. *)
+  Alcotest.(check bool) "~stream:true is ignored" true
+    (Driver.run_point ~check:true ~stream:true cfg w = streamed)
 
 (* ------------------------------------------------------------------ *)
 (* Request-lifecycle conservation and saturation *)
